@@ -9,7 +9,7 @@
 
 use icache_baselines::LruCache;
 use icache_bench::{banner, sweep, BenchEnv};
-use icache_core::{CacheSystem, DistributedCache, DistributedConfig};
+use icache_core::{CacheService, CacheSystem, ServiceConfig};
 use icache_dnn::ModelProfile;
 use icache_obs::json;
 use icache_sim::{report, run_multi_job, JobConfig, PerJobCache, SamplingMode};
@@ -91,8 +91,8 @@ fn main() {
         .expect("runs");
 
         // iCache: the distributed cache with a shared directory.
-        let mut icache_cache = DistributedCache::new(
-            DistributedConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("valid cluster"),
+        let mut icache_cache = CacheService::new(
+            ServiceConfig::for_dataset(&dataset, nodes as usize, 0.2).expect("valid cluster"),
             &dataset,
         )
         .expect("valid cluster");

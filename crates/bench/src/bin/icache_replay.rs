@@ -65,7 +65,9 @@
 
 use icache_bench::{sweep, workload};
 use icache_sampling::HList;
-use icache_sim::replay::{replay, replay_prefetch, summarize, AccessPattern, Trace};
+use icache_sim::replay::{
+    replay, replay_concurrent, replay_prefetch, summarize, AccessPattern, ReplayReport, Trace,
+};
 use icache_sim::{report, StorageKind};
 use icache_types::{ByteSize, Dataset, DatasetBuilder, JobId, SimDuration, SizeModel};
 use std::collections::HashMap;
@@ -117,8 +119,23 @@ struct ReplayCtx<'a> {
     seed: u64,
     storage_kind: StorageKind,
     trace_out: Option<&'a str>,
+    loader_threads: usize,
     prefetch_depth: usize,
     compute: SimDuration,
+}
+
+impl ReplayCtx<'_> {
+    /// The mode's column after `elapsed`, if any: lock contention on
+    /// the concurrent path, consumer stall under prefetching.
+    fn extra_column(&self) -> Option<&'static str> {
+        if self.loader_threads > 1 {
+            Some("contended")
+        } else if self.prefetch_depth > 0 {
+            Some("stall")
+        } else {
+            None
+        }
+    }
 }
 
 /// Everything one policy replay produces, rendered but not yet printed:
@@ -131,11 +148,13 @@ struct PolicyOutput {
     summary: (String, icache_obs::Json),
 }
 
-fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
-    // One observability ring per policy: event streams never interleave
-    // and each trace file's seq numbering starts at 0. The cache is
-    // built here, inside the (possibly worker-thread) task.
-    let obs = icache_obs::Obs::new();
+/// Replay one policy on a cache it owns: the plain sequential driver,
+/// or the prefetch pipeline (which also reports the consumer stall).
+fn replay_owned(
+    name: &str,
+    ctx: &ReplayCtx,
+    obs: &icache_obs::Obs,
+) -> Result<(ReplayReport, Option<SimDuration>), String> {
     let mut cache = workload::build_policy(
         name,
         ctx.dataset,
@@ -148,23 +167,70 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
     cache.set_obs(obs.clone());
     storage.set_obs(obs.clone());
     cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
-    let (rep, stall) = if ctx.prefetch_depth > 0 {
-        let pr = replay_prefetch(
-            ctx.trace,
-            ctx.dataset,
-            cache.as_mut(),
-            storage.as_mut(),
-            ctx.prefetch_depth,
-            ctx.compute,
-            obs.clone(),
-        )
-        .map_err(|e| e.to_string())?;
-        (pr.report, Some(pr.stall))
-    } else {
-        (
+    if ctx.prefetch_depth == 0 {
+        return Ok((
             replay(ctx.trace, ctx.dataset, cache.as_mut(), storage.as_mut()),
             None,
-        )
+        ));
+    }
+    let pr = replay_prefetch(
+        ctx.trace,
+        ctx.dataset,
+        cache.as_mut(),
+        storage.as_mut(),
+        ctx.prefetch_depth,
+        ctx.compute,
+        obs.clone(),
+    )
+    .map_err(|e| e.to_string())?;
+    Ok((pr.report, Some(pr.stall)))
+}
+
+/// Replay one policy as a shared concurrent cache served by
+/// `ctx.loader_threads` loader threads; also returns the number of
+/// lock acquisitions that had to wait.
+fn replay_shared(
+    name: &str,
+    ctx: &ReplayCtx,
+    obs: &icache_obs::Obs,
+) -> Result<(ReplayReport, u64), String> {
+    let cache = workload::build_concurrent_policy(
+        name,
+        ctx.dataset,
+        ctx.cap,
+        ctx.cache_frac,
+        ctx.seed,
+        ctx.hlist,
+        ctx.loader_threads,
+    )?;
+    cache.set_obs(obs.clone());
+    cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
+    let rep = replay_concurrent(
+        ctx.trace,
+        ctx.dataset,
+        cache.as_ref(),
+        ctx.loader_threads,
+        ctx.seed,
+        || ctx.storage_kind.build(),
+    )
+    .map_err(|e| e.to_string())?;
+    // Publishes the cache.stripe.* gauges and the counter deltas
+    // accumulated over the replay into this policy's registry.
+    cache.on_epoch_end(JobId(0), icache_types::Epoch(0));
+    Ok((rep, cache.contended()))
+}
+
+fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
+    // One observability ring per policy: event streams never interleave
+    // and each trace file's seq numbering starts at 0. The cache is
+    // built inside the (possibly worker-thread) task.
+    let obs = icache_obs::Obs::new();
+    let (rep, extra, contended) = if ctx.loader_threads > 1 {
+        let (rep, contended) = replay_shared(name, ctx, &obs)?;
+        (rep, Some(contended.to_string()), Some(contended))
+    } else {
+        let (rep, stall) = replay_owned(name, ctx, &obs)?;
+        (rep, stall.map(|s| s.to_string()), None)
     };
     // The replay driver's own accounting: baselines record nothing
     // into the registry themselves, so these six counters make every
@@ -183,9 +249,9 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
         format!("{}", rep.elapsed),
     ];
     let mut line = format!("{name:8} {}", summarize(&rep));
-    if let Some(stall) = stall {
-        row.push(format!("{stall}"));
-        line = format!("{line} | stall {stall}");
+    if let (Some(label), Some(value)) = (ctx.extra_column(), extra) {
+        line = format!("{line} | {label} {value}");
+        row.push(value);
     }
     let trace_note = match ctx.trace_out {
         Some(path) => {
@@ -199,28 +265,31 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
         }
         None => None,
     };
+    // The concurrent path keeps no event stream, so it reports its lock
+    // contention where the sequential path reports trace accounting.
+    let detail = match contended {
+        Some(n) => ("contended".into(), icache_obs::Json::UInt(n)),
+        None => (
+            "trace".into(),
+            icache_obs::Json::Obj(vec![
+                (
+                    "emitted".into(),
+                    icache_obs::Json::UInt(obs.trace_emitted()),
+                ),
+                (
+                    "recorded".into(),
+                    icache_obs::Json::UInt(obs.trace_len() as u64),
+                ),
+                (
+                    "dropped".into(),
+                    icache_obs::Json::UInt(obs.trace_dropped()),
+                ),
+            ]),
+        ),
+    };
     let summary = (
         name.to_string(),
-        icache_obs::Json::Obj(vec![
-            ("metrics".into(), obs.metrics_snapshot()),
-            (
-                "trace".into(),
-                icache_obs::Json::Obj(vec![
-                    (
-                        "emitted".into(),
-                        icache_obs::Json::UInt(obs.trace_emitted()),
-                    ),
-                    (
-                        "recorded".into(),
-                        icache_obs::Json::UInt(obs.trace_len() as u64),
-                    ),
-                    (
-                        "dropped".into(),
-                        icache_obs::Json::UInt(obs.trace_dropped()),
-                    ),
-                ]),
-            ),
-        ]),
+        icache_obs::Json::Obj(vec![("metrics".into(), obs.metrics_snapshot()), detail]),
     );
     Ok(PolicyOutput {
         row,
@@ -228,83 +297,6 @@ fn run_policy(name: &str, ctx: &ReplayCtx) -> Result<PolicyOutput, String> {
         trace_note,
         summary,
     })
-}
-
-/// Replay every policy as a shared concurrent cache served by
-/// `threads` loader threads. Output mirrors the sequential driver's
-/// table plus a `contended` column (lock acquisitions that had to
-/// wait).
-fn run_concurrent(threads: usize, ctx: &ReplayCtx, json_path: Option<&str>) -> Result<(), String> {
-    let mut policy_summaries: Vec<(String, icache_obs::Json)> = Vec::new();
-    let mut out =
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed", "contended"]);
-    for &name in workload::POLICIES.iter() {
-        let obs = icache_obs::Obs::new();
-        let cache = workload::build_concurrent_policy(
-            name,
-            ctx.dataset,
-            ctx.cap,
-            ctx.cache_frac,
-            ctx.seed,
-            ctx.hlist,
-            threads,
-        )?;
-        cache.set_obs(obs.clone());
-        cache.on_epoch_start(JobId(0), icache_types::Epoch(0));
-        let rep = icache_sim::replay::replay_concurrent(
-            ctx.trace,
-            ctx.dataset,
-            cache.as_ref(),
-            threads,
-            ctx.seed,
-            || ctx.storage_kind.build(),
-        )
-        .map_err(|e| e.to_string())?;
-        // Publishes the cache.stripe.* gauges and the counter deltas
-        // accumulated over the replay into this policy's registry.
-        cache.on_epoch_end(JobId(0), icache_types::Epoch(0));
-        obs.add("replay.accesses", ctx.trace.len() as u64);
-        obs.add("replay.h_hits", rep.stats.h_hits);
-        obs.add("replay.l_hits", rep.stats.l_hits);
-        obs.add("replay.pm_hits", rep.stats.pm_hits);
-        obs.add("replay.substitutions", rep.stats.substitutions);
-        obs.add("replay.misses", rep.stats.misses);
-        let contended = cache.contended();
-        out.row(vec![
-            name.to_string(),
-            format!("{:.1}", rep.hit_ratio() * 100.0),
-            format!("{}", rep.latency.quantile(0.5)),
-            format!("{}", rep.latency.quantile(0.99)),
-            format!("{}", rep.elapsed),
-            format!("{contended}"),
-        ]);
-        println!("{name:8} {} | contended {contended}", summarize(&rep));
-        policy_summaries.push((
-            name.to_string(),
-            icache_obs::Json::Obj(vec![
-                ("metrics".into(), obs.metrics_snapshot()),
-                ("contended".into(), icache_obs::Json::UInt(contended)),
-            ]),
-        ));
-    }
-    println!();
-    println!("{}", out.render());
-    if let Some(path) = json_path {
-        let summary = icache_obs::Json::Obj(vec![
-            (
-                "accesses".into(),
-                icache_obs::Json::UInt(ctx.trace.len() as u64),
-            ),
-            (
-                "loader_threads".into(),
-                icache_obs::Json::UInt(threads as u64),
-            ),
-            ("policies".into(), icache_obs::Json::Obj(policy_summaries)),
-        ]);
-        std::fs::write(path, format!("{summary}\n")).map_err(|e| format!("--json {path}: {e}"))?;
-        println!("wrote replay summary to {path}");
-    }
-    Ok(())
 }
 
 fn run() -> Result<(), String> {
@@ -433,12 +425,10 @@ fn run() -> Result<(), String> {
         seed,
         storage_kind,
         trace_out: args.get("trace-out").map(String::as_str),
+        loader_threads,
         prefetch_depth,
         compute,
     };
-    if loader_threads > 1 {
-        return run_concurrent(loader_threads, &ctx, args.get("json").map(String::as_str));
-    }
     let ctx_ref = &ctx;
     let tasks: Vec<_> = workload::POLICIES
         .iter()
@@ -447,11 +437,9 @@ fn run() -> Result<(), String> {
     let outputs = sweep::run_indexed(tasks, workers);
 
     let mut policy_summaries: Vec<(String, icache_obs::Json)> = Vec::new();
-    let mut out = if prefetch_depth > 0 {
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed", "stall"])
-    } else {
-        report::Table::with_columns(&["policy", "hit%", "p50", "p99", "elapsed"])
-    };
+    let mut columns = vec!["policy", "hit%", "p50", "p99", "elapsed"];
+    columns.extend(ctx.extra_column());
+    let mut out = report::Table::with_columns(&columns);
     for result in outputs {
         let po = result?;
         out.row(po.row);
@@ -464,13 +452,18 @@ fn run() -> Result<(), String> {
     println!();
     println!("{}", out.render());
     if let Some(path) = args.get("json") {
-        let summary = icache_obs::Json::Obj(vec![
-            (
-                "accesses".into(),
-                icache_obs::Json::UInt(trace.len() as u64),
-            ),
-            ("policies".into(), icache_obs::Json::Obj(policy_summaries)),
-        ]);
+        let mut summary = vec![(
+            "accesses".into(),
+            icache_obs::Json::UInt(trace.len() as u64),
+        )];
+        if loader_threads > 1 {
+            summary.push((
+                "loader_threads".into(),
+                icache_obs::Json::UInt(loader_threads as u64),
+            ));
+        }
+        summary.push(("policies".into(), icache_obs::Json::Obj(policy_summaries)));
+        let summary = icache_obs::Json::Obj(summary);
         std::fs::write(path, format!("{summary}\n")).map_err(|e| format!("--json {path}: {e}"))?;
         println!("wrote replay summary to {path}");
     }

@@ -23,10 +23,9 @@
 //!   exchanging [`service::CacheRpc`] messages over a simulated
 //!   interconnect, with heartbeat membership, rendezvous-hashed
 //!   directory shards ([`DirectoryKv`]), repartitioning on churn, and
-//!   warm restarts from per-node recovery indexes. [`DistributedCache`]
-//!   remains as the static-membership facade.
-//! * [`IcacheClient`] — the client module mirroring the paper's
-//!   `iCacheImageFolder` / `rpc_loader` / `update_ipersample` interfaces.
+//!   warm restarts from per-node recovery indexes. It is the crate's
+//!   only multi-node API; [`ServiceConfig::for_dataset`] builds the
+//!   paper's static cluster.
 //! * [`concurrent`] — the lock-striped in-node cache
 //!   ([`ConcurrentManager`]): one node serving many data-loader threads
 //!   concurrently via striped resident maps, a sharded H-heap with a
@@ -42,7 +41,10 @@
 //! The crate is substrate-agnostic: all I/O timing flows through the
 //! [`icache_storage::StorageBackend`] passed into each fetch, and every
 //! cache system (including the baselines in `icache-baselines`)
-//! implements the common [`CacheSystem`] trait.
+//! implements the common [`CacheSystem`] trait. That trait is also the
+//! request interface the paper exposes over gRPC: its `rpc_loader` is
+//! [`CacheSystem::fetch`] and its `update_ipersample` is
+//! [`CacheSystem::update_hlist`].
 //!
 //! # Examples
 //!
@@ -71,39 +73,33 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod client;
 pub mod concurrent;
 mod data;
 pub mod dense;
-mod distributed;
 mod hcache;
 mod hheap;
 mod lcache;
 mod manager;
 mod multijob;
 pub mod prefetch;
-mod server;
 pub mod service;
 mod shadow;
 mod stats;
 mod system;
 mod victim;
 
-pub use client::IcacheClient;
 pub use concurrent::{
     AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, ShardedHeap,
     StripedMap,
 };
 pub use data::SampleData;
 pub use dense::{IdSet, IdSlab};
-pub use distributed::{DirectoryView, DistributedCache, DistributedConfig, RemoteFetchKind};
 pub use hcache::{AdmitResult, HCache};
 pub use hheap::HHeap;
 pub use lcache::{LCache, LCacheConfig, LFetch, Package, PackageId, Packager};
 pub use manager::{IcacheConfig, IcacheManager, Substitution};
 pub use multijob::{BenefitProbe, JobBenefit, MultiJobCoordinator, ProbePhase};
 pub use prefetch::{InflightWindow, IssueRecord, PlannedAccess, PrefetchPipeline, PrefetchReport};
-pub use server::{IcacheServer, Request, Response};
 pub use service::{
     CacheRpc, CacheRpcReply, CacheService, ChurnEvent, DirectoryChange, DirectoryKv,
     HeartbeatConfig, LinkConfig, NodeHandle, RecoveryIndex, RecoveryMode, ServiceConfig,

@@ -9,17 +9,15 @@
 //! a high-water clock (`max` of every fetch time seen) to drive
 //! heartbeats and suspicion deterministically.
 //!
-//! [`crate::DistributedCache`] wraps this type as a thin compatibility
-//! facade; churn experiments drive it directly.
+//! [`CacheService`] is the crate's one multi-node cache: `--nodes N`
+//! runs, Fig. 13 and the churn experiments all build it from
+//! [`ServiceConfig::for_dataset`] and drive it through [`CacheSystem`].
 
 use crate::service::{
     CacheRpc, CacheRpcReply, DirectoryOp, HeartbeatConfig, LinkConfig, Membership, NodeHandle,
     Partitioner, RecoveryIndex, RecoveryMode, RecoveryStore, ServiceNode, SimNet,
 };
-use crate::{
-    CacheStats, CacheSystem, DistributedConfig, Fetch, FetchOutcome, IcacheConfig, IcacheManager,
-    RemoteFetchKind,
-};
+use crate::{CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, IcacheManager};
 use icache_obs::{Obs, Observable, TraceEvent};
 use icache_sampling::HList;
 use icache_storage::StorageBackend;
@@ -29,36 +27,33 @@ use icache_types::{
 };
 use std::collections::BTreeMap;
 
+/// Local-disk read bandwidth charged when a warm restart replays its
+/// recovery index, bytes/second.
+const RECOVERY_BANDWIDTH: f64 = 2e9;
+
 /// Configuration of the sharded cache service.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceConfig {
     /// Number of cache nodes.
     pub nodes: usize,
     /// Per-node cache configuration (each node's seed is offset by its
-    /// index, as the direct-call cluster always did).
+    /// index).
     pub node_config: IcacheConfig,
     /// Control-plane link profile (directory traffic, heartbeats).
     /// Metadata messages carry zero modelled bytes, so only the latency
-    /// matters; it defaults to zero, which reproduces the direct-call
-    /// cluster's timing exactly.
+    /// matters; it defaults to zero.
     pub control: LinkConfig,
-    /// Data-plane link profile (peer cache reads): the old
-    /// `remote_hop` / `interconnect_bandwidth` pair.
+    /// Data-plane link profile (peer cache reads): per-hop latency and
+    /// interconnect bandwidth.
     pub data: LinkConfig,
-    /// Serialize per-link transfers (FIFO queuing behind earlier
-    /// messages) instead of modelling links as uncontended.
-    pub serialize_links: bool,
     /// Failure-detector timing; `None` freezes membership (no
-    /// heartbeats, no suspicion — the compatibility default).
+    /// heartbeats, no suspicion — the default).
     pub heartbeat: Option<HeartbeatConfig>,
     /// Race remote reads against a hedged local storage fetch, first
     /// responder winning by sim-time (ties go to the peer).
     pub race_fetches: bool,
     /// Where recovery indexes are written (warm restarts).
     pub recovery: RecoveryMode,
-    /// Local-disk read bandwidth charged when a warm restart replays
-    /// its recovery index, bytes/second.
-    pub recovery_bandwidth: f64,
     /// How often each live node snapshots its residency into the
     /// recovery store *between* epoch boundaries. Epoch-end-only
     /// snapshots (`None`) miss everything admitted since the last
@@ -66,60 +61,45 @@ pub struct ServiceConfig {
     /// full epoch stale.
     pub index_interval: Option<SimDuration>,
     /// Keep service-plane metrics (`svc.*`) and events out of the
-    /// shared registry. The compatibility facade sets this so pre- and
-    /// post-redesign `--nodes N` runs serialize byte-identically; churn
-    /// runs leave it off.
+    /// shared registry, so a static `--nodes N` run records exactly the
+    /// cache-level `dist.*`/`cache.*` view. Churn runs turn it off.
     pub quiet_service_plane: bool,
 }
 
 impl ServiceConfig {
-    /// Service defaults for a cluster of `nodes` nodes, each caching
-    /// `per_node_fraction` of `dataset`: static membership, no racing,
-    /// recovery disabled.
+    /// A static cluster of `nodes` nodes, each caching
+    /// `per_node_fraction` of `dataset` (the paper's distributed setup
+    /// gives each node 20 %): zero-latency control plane, 80 µs peer
+    /// hops over a 10 Gb/s interconnect, frozen membership, no racing,
+    /// recovery disabled, quiet service plane. [`ServiceConfig::with_churn`]
+    /// turns the churn machinery on.
     ///
     /// # Errors
     ///
     /// Returns [`Error::InvalidConfig`] when `nodes` is zero or the
     /// per-node config is invalid.
     pub fn for_dataset(dataset: &Dataset, nodes: usize, per_node_fraction: f64) -> Result<Self> {
-        Ok(
-            ServiceConfig::from_distributed(&DistributedConfig::for_dataset(
-                dataset,
-                nodes,
-                per_node_fraction,
-            )?)
-            .exposed(),
-        )
-    }
-
-    /// The exact semantics of a [`DistributedConfig`]: zero-latency
-    /// control plane, static membership, quiet service plane.
-    pub fn from_distributed(config: &DistributedConfig) -> Self {
-        ServiceConfig {
-            nodes: config.nodes,
-            node_config: config.node_config.clone(),
+        if nodes == 0 {
+            return Err(Error::invalid_config("nodes", "must be at least 1"));
+        }
+        let bandwidth = 1.25e9;
+        Ok(ServiceConfig {
+            nodes,
+            node_config: IcacheConfig::for_dataset(dataset, per_node_fraction)?,
             control: LinkConfig {
                 latency: SimDuration::ZERO,
-                bandwidth: config.interconnect_bandwidth,
+                bandwidth,
             },
             data: LinkConfig {
-                latency: config.remote_hop,
-                bandwidth: config.interconnect_bandwidth,
+                latency: SimDuration::from_micros(80),
+                bandwidth,
             },
-            serialize_links: false,
             heartbeat: None,
             race_fetches: false,
             recovery: RecoveryMode::Disabled,
-            recovery_bandwidth: 2e9,
             index_interval: None,
             quiet_service_plane: true,
-        }
-    }
-
-    /// Expose service-plane metrics in the shared registry.
-    pub fn exposed(mut self) -> Self {
-        self.quiet_service_plane = false;
-        self
+        })
     }
 
     /// Enable the churn machinery: default failure detector and an
@@ -220,8 +200,7 @@ impl CacheService {
             .collect::<Result<Vec<_>>>()?;
         let membership = Membership::new(config.nodes, config.heartbeat.unwrap_or_default());
         let partitioner = Partitioner::new(membership.live(), 0);
-        let mut net = SimNet::new(config.control, config.data);
-        net.set_serialize(config.serialize_links);
+        let net = SimNet::new(config.control, config.data);
         let recovery = RecoveryStore::new(&config.recovery);
         Ok(CacheService {
             nodes,
@@ -446,39 +425,6 @@ impl CacheService {
 
     fn node_of(&self, job: JobId) -> usize {
         job.0 as usize % self.nodes.len()
-    }
-
-    /// Classify where a fetch for `job`/`id` would be served from,
-    /// without performing it (counted directory read, like the old
-    /// direct-call cluster).
-    pub fn classify(&self, job: JobId, id: SampleId) -> RemoteFetchKind {
-        let local = self.node_of(job);
-        if self.nodes[local].is_up() && self.nodes[local].contains_cached(id) {
-            return RemoteFetchKind::Local;
-        }
-        match self.remote_owner_view(local, id) {
-            Some(_) => RemoteFetchKind::RemoteCache,
-            None => RemoteFetchKind::Storage,
-        }
-    }
-
-    /// The peer that could serve `id` to node `local` right now:
-    /// directory hit on a different, reachable node that still holds
-    /// the sample.
-    fn remote_owner_view(&self, local: usize, id: SampleId) -> Option<NodeId> {
-        let shard = self.partitioner.owner(id);
-        if self.nodes[shard.0 as usize].crashed {
-            return None;
-        }
-        match self.nodes[shard.0 as usize].shard.lookup(id) {
-            Some(owner)
-                if owner.0 as usize != local
-                    && self.nodes[owner.0 as usize].contains_cached(id) =>
-            {
-                Some(owner)
-            }
-            _ => None,
-        }
     }
 
     /// Route a fetch through the requesting node's own manager and keep
@@ -723,8 +669,7 @@ impl CacheService {
             }
         }
         let bytes: ByteSize = keep.iter().map(|e| e.size).sum();
-        let ready_at = self.clock
-            + SimDuration::from_secs_f64(bytes.as_f64() / self.config.recovery_bandwidth);
+        let ready_at = self.clock + SimDuration::from_secs_f64(bytes.as_f64() / RECOVERY_BANDWIDTH);
         let Some(manager) = self.nodes[i].manager.as_mut() else {
             return;
         };
@@ -833,8 +778,7 @@ impl Observable for CacheService {
         obs.set_gauge("dist.nodes", self.nodes.len() as f64);
         self.obs = obs.clone();
         // The service plane (net, membership, recovery, churn) records
-        // separately so the compatibility facade can keep it out of
-        // golden snapshots.
+        // separately so static runs can keep it out of the registry.
         let svc = if self.config.quiet_service_plane {
             Obs::noop()
         } else {
@@ -848,7 +792,7 @@ impl Observable for CacheService {
 
 impl CacheSystem for CacheService {
     fn name(&self) -> &str {
-        "icache-service"
+        "icache-distributed"
     }
 
     fn fetch(
@@ -896,8 +840,7 @@ impl CacheSystem for CacheService {
                         // Hedge: issue the local storage fetch too and let
                         // the first responder win (ties go to the peer).
                         let hedged = self.local_fetch(local, job, id, size, t_remote, storage);
-                        let remote_ready =
-                            t_remote + self.net.data_link(owner_id, me).transfer_time(bytes);
+                        let remote_ready = t_remote + self.config.data.transfer_time(bytes);
                         if remote_ready <= hedged.ready_at {
                             self.svc_obs.inc("svc.race.remote_wins");
                             return self.serve_remote(local, owner_id, job, id, bytes, t_remote);
@@ -1006,4 +949,157 @@ fn absorb(total: &mut CacheStats, s: &CacheStats) {
     total.rejections += s.rejections;
     total.bytes_from_cache += s.bytes_from_cache;
     total.bytes_from_storage += s.bytes_from_storage;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use icache_sampling::ImportanceTable;
+    use icache_storage::{Nfs, NfsConfig};
+    use icache_types::{DatasetBuilder, SizeModel};
+
+    fn dataset() -> Dataset {
+        DatasetBuilder::new("d", 1_000)
+            .size_model(SizeModel::Fixed(ByteSize::kib(3)))
+            .build()
+            .unwrap()
+    }
+
+    fn cluster(ds: &Dataset, nodes: usize) -> CacheService {
+        CacheService::new(ServiceConfig::for_dataset(ds, nodes, 0.2).unwrap(), ds).unwrap()
+    }
+
+    fn hlist(ds: &Dataset) -> HList {
+        let mut t = ImportanceTable::new(ds.len());
+        for i in 0..200 {
+            t.record_loss(SampleId(i), 10.0);
+        }
+        HList::top_fraction(&t, 0.2)
+    }
+
+    /// A two-node cluster with both jobs' H-lists pushed.
+    fn two_nodes(ds: &Dataset) -> CacheService {
+        let mut svc = cluster(ds, 2);
+        svc.update_hlist(JobId(0), &hlist(ds));
+        svc.update_hlist(JobId(1), &hlist(ds));
+        svc
+    }
+
+    #[test]
+    fn peer_cache_serves_without_duplication() {
+        let ds = dataset();
+        let mut svc = two_nodes(&ds);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+
+        // Job 0 (node 0) faults sample 5 in from storage.
+        let sz = ds.sample_size(SampleId(5));
+        let f0 = svc.fetch(JobId(0), SampleId(5), sz, SimTime::ZERO, &mut st);
+        assert_eq!(f0.outcome, FetchOutcome::Miss);
+        assert_eq!(svc.directory_lookup(SampleId(5)), Some(NodeId(0)));
+        assert_eq!(svc.remote_hits(), 0);
+
+        // Job 1 (node 1) now reads it from node 0, not storage, and does
+        // not cache a second copy.
+        let before = st.stats().sample_reads;
+        let f1 = svc.fetch(JobId(1), SampleId(5), sz, f0.ready_at, &mut st);
+        assert!(f1.outcome.served_from_cache());
+        assert_eq!(st.stats().sample_reads, before, "no storage read");
+        assert_eq!(svc.remote_hits(), 1);
+        assert_eq!(svc.directory_lookup(SampleId(5)), Some(NodeId(0)));
+        assert!(!svc.node(1).contains_cached(SampleId(5)));
+    }
+
+    #[test]
+    fn remote_read_is_slower_than_local_but_faster_than_storage() {
+        let ds = dataset();
+        let mut svc = two_nodes(&ds);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        let sz = ds.sample_size(SampleId(7));
+
+        let miss = svc.fetch(JobId(0), SampleId(7), sz, SimTime::ZERO, &mut st);
+        let t_storage = miss.ready_at.saturating_since(SimTime::ZERO);
+
+        let local = svc.fetch(JobId(0), SampleId(7), sz, miss.ready_at, &mut st);
+        let t_local = local.ready_at.saturating_since(miss.ready_at);
+
+        let remote = svc.fetch(JobId(1), SampleId(7), sz, local.ready_at, &mut st);
+        let t_remote = remote.ready_at.saturating_since(local.ready_at);
+
+        assert!(t_local < t_remote, "local {t_local} vs remote {t_remote}");
+        assert!(
+            t_remote < t_storage,
+            "remote {t_remote} vs storage {t_storage}"
+        );
+    }
+
+    #[test]
+    fn jobs_map_to_nodes_round_robin() {
+        let ds = dataset();
+        let svc = cluster(&ds, 4);
+        assert_eq!(svc.node_of(JobId(0)), 0);
+        assert_eq!(svc.node_of(JobId(5)), 1);
+        assert_eq!(svc.node_count(), 4);
+    }
+
+    #[test]
+    fn cluster_capacity_sums_nodes() {
+        let ds = dataset();
+        let svc = cluster(&ds, 4);
+        assert_eq!(svc.capacity(), ds.total_bytes().scaled(0.2) * 4);
+    }
+
+    #[test]
+    fn zero_nodes_rejected() {
+        let ds = dataset();
+        assert!(ServiceConfig::for_dataset(&ds, 0, 0.2).is_err());
+        let mut cfg = ServiceConfig::for_dataset(&ds, 1, 0.2).unwrap();
+        cfg.nodes = 0;
+        assert!(CacheService::new(cfg, &ds).is_err());
+    }
+
+    #[test]
+    fn per_node_counters_classify_every_fetch() {
+        let ds = dataset();
+        let mut svc = two_nodes(&ds);
+        let obs = Obs::new();
+        Observable::set_obs(&mut svc, obs.clone());
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        let sz = ds.sample_size(SampleId(5));
+
+        // Node 0 faults sample 5 in (storage), re-reads it (local hit),
+        // then node 1 reads it over the interconnect (remote hit).
+        let f0 = svc.fetch(JobId(0), SampleId(5), sz, SimTime::ZERO, &mut st);
+        let f1 = svc.fetch(JobId(0), SampleId(5), sz, f0.ready_at, &mut st);
+        let _ = svc.fetch(JobId(1), SampleId(5), sz, f1.ready_at, &mut st);
+
+        assert_eq!(obs.counter("dist.node0.storage_fetches"), 1);
+        assert_eq!(obs.counter("dist.node0.local_hits"), 1);
+        assert_eq!(obs.counter("dist.node1.remote_hits"), 1);
+        assert_eq!(obs.counter("dist.remote_hits"), svc.remote_hits());
+        assert_eq!(obs.gauge("dist.nodes"), Some(2.0));
+        let counts: std::collections::HashMap<String, u64> =
+            obs.trace_event_counts().into_iter().collect();
+        assert_eq!(counts.get("remote_hit"), Some(&1));
+
+        // The static cluster keeps the service plane silent: no svc.*
+        // counters leak into the shared registry.
+        assert_eq!(obs.counter("svc.net.sent"), 0);
+        assert_eq!(obs.counter("svc.heartbeats_sent"), 0);
+    }
+
+    #[test]
+    fn stats_aggregate_across_nodes_and_remote_hits() {
+        let ds = dataset();
+        let mut svc = two_nodes(&ds);
+        let mut st = Nfs::new(NfsConfig::cloud_default()).unwrap();
+        let sz = ds.sample_size(SampleId(1));
+        let f = svc.fetch(JobId(0), SampleId(1), sz, SimTime::ZERO, &mut st);
+        let _ = svc.fetch(JobId(1), SampleId(1), sz, f.ready_at, &mut st);
+        let s = svc.stats();
+        assert_eq!(s.misses, 1);
+        assert_eq!(s.h_hits, 1, "remote hit counted");
+        svc.reset_stats();
+        assert_eq!(svc.stats().requests(), 0);
+        assert_eq!(svc.remote_hits(), 0);
+    }
 }

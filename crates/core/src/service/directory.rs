@@ -231,6 +231,38 @@ mod tests {
         assert_eq!(DirectoryChange::Inserted.previous(), None);
         assert_eq!(obs.counter("dist.directory.inserts"), 1);
         assert_eq!(obs.counter("dist.directory.remaps"), 1);
+
+        // The remap moved ownership, is traced once, and does not grow
+        // the directory: len == inserts − removes still holds.
+        assert_eq!(dir.lookup(SampleId(1)), Some(NodeId(3)));
+        assert_eq!(obs.trace_len(), 1, "only the remap is traced");
+        let jsonl = obs.trace_jsonl();
+        let v = icache_obs::Json::parse(jsonl.trim_end()).unwrap();
+        assert_eq!(v["event"].as_str(), Some("directory_remap"));
+        assert_eq!(v["sample"].as_u64(), Some(1));
+        assert_eq!(v["from_node"].as_u64(), Some(0));
+        assert_eq!(v["to_node"].as_u64(), Some(3));
+        assert_eq!(dir.len(), 1);
+        assert_eq!(
+            dir.len() as u64,
+            obs.counter("dist.directory.inserts") - obs.counter("dist.directory.removes")
+        );
+    }
+
+    #[test]
+    fn remove_missing_is_a_counted_noop() {
+        let obs = Obs::new();
+        let mut dir = DirectoryKv::new().with_obs(obs.clone());
+        assert_eq!(dir.remove(SampleId(1)), None);
+        assert_eq!(
+            obs.counter("dist.directory.removes"),
+            0,
+            "missing removes must not distort the len == inserts - removes invariant"
+        );
+        dir.insert(SampleId(1), NodeId(0));
+        assert_eq!(dir.remove(SampleId(1)), Some(NodeId(0)));
+        assert_eq!(obs.counter("dist.directory.removes"), 1);
+        assert!(dir.is_empty());
     }
 
     #[test]

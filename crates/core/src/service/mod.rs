@@ -1,10 +1,8 @@
 //! The sharded cache service: iCache's multi-node mode as a
 //! message-passing system.
 //!
-//! This module replaces the old direct-call cluster (a `Vec` of
-//! managers mutated behind a shared directory) with an explicit
-//! service: nodes exchange [`CacheRpc`] messages over a simulated
-//! network ([`SimNet`]) with configurable per-link latency and
+//! Nodes exchange [`CacheRpc`] messages over a simulated network
+//! ([`SimNet`]) with configurable control- and data-plane latency and
 //! bandwidth, membership is tracked by a heartbeat failure detector
 //! ([`Membership`]), and the sample→node directory is sharded across
 //! the live nodes by rendezvous hashing ([`Partitioner`]), moving
@@ -28,9 +26,13 @@
 //! a pure function of (config, seed, schedule) — including kills,
 //! suspicion, repartitions, and recovery.
 //!
-//! [`crate::DistributedCache`] remains as a thin facade over
-//! [`CacheService`] with the exact observable behavior of the old
-//! direct-call cluster.
+//! [`CacheService`] is the one multi-node surface: it implements
+//! [`crate::CacheSystem`], so training loops drive a cluster exactly
+//! like a single cache. [`ServiceConfig::for_dataset`] builds the
+//! paper's static cluster (frozen membership, zero-latency control
+//! plane, service-plane metrics kept out of the registry), and
+//! [`ServiceConfig::with_churn`] turns on failure detection and
+//! recovery.
 
 pub mod cluster;
 pub mod directory;

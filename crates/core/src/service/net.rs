@@ -49,19 +49,13 @@ pub struct Envelope {
 /// Two planes share the fabric. *Control* messages (directory traffic,
 /// heartbeats, membership) are metadata-sized and ride the control link
 /// profile; *data* transfers (peer cache reads) are charged the data
-/// link profile via [`SimNet::transfer`]. Per-link overrides let churn
-/// experiments slow individual paths down.
+/// link profile via [`SimNet::transfer`]. Links are modelled as
+/// uncontended: concurrent sends on one link overlap.
 #[derive(Debug)]
 pub struct SimNet {
     control: LinkConfig,
     data: LinkConfig,
-    overrides: BTreeMap<(u32, u32), LinkConfig>,
     queues: BTreeMap<(u32, u32), VecDeque<Envelope>>,
-    /// When each link's tail transfer finishes (used only when
-    /// `serialize` is set — back-to-back sends then queue behind each
-    /// other instead of overlapping).
-    busy: BTreeMap<(u32, u32), SimTime>,
-    serialize: bool,
     next_seq: u64,
     obs: Obs,
 }
@@ -78,33 +72,10 @@ impl SimNet {
         SimNet {
             control,
             data,
-            overrides: BTreeMap::new(),
             queues: BTreeMap::new(),
-            busy: BTreeMap::new(),
-            serialize: false,
             next_seq: 0,
             obs: Obs::noop(),
         }
-    }
-
-    /// Override the data-link profile of one directed link.
-    pub fn set_link(&mut self, from: NodeId, to: NodeId, link: LinkConfig) {
-        self.overrides.insert((from.0, to.0), link);
-    }
-
-    /// Serialize transfers per link: a send may not start before the
-    /// link's previous transfer finished. Off by default (links are
-    /// modelled as uncontended).
-    pub fn set_serialize(&mut self, on: bool) {
-        self.serialize = on;
-    }
-
-    /// The data-link profile between two nodes (override or default).
-    pub fn data_link(&self, from: NodeId, to: NodeId) -> LinkConfig {
-        self.overrides
-            .get(&(from.0, to.0))
-            .copied()
-            .unwrap_or(self.data)
     }
 
     /// Messages queued but not yet delivered.
@@ -114,28 +85,21 @@ impl SimNet {
 
     /// Queue a control-plane request; returns its delivery time.
     pub fn send(&mut self, from: NodeId, to: NodeId, rpc: CacheRpc, now: SimTime) -> SimTime {
-        let link = self.control;
-        let key = (from.0, to.0);
-        let start = if self.serialize {
-            now.max(self.busy.get(&key).copied().unwrap_or(SimTime::ZERO))
-        } else {
-            now
-        };
-        let deliver_at = start + link.transfer_time(rpc.request_bytes());
-        if self.serialize {
-            self.busy.insert(key, deliver_at);
-        }
+        let deliver_at = now + self.control.transfer_time(rpc.request_bytes());
         let seq = self.next_seq;
         self.next_seq += 1;
         self.obs.inc("svc.net.sent");
-        self.queues.entry(key).or_default().push_back(Envelope {
-            from,
-            to,
-            sent_at: now,
-            deliver_at,
-            seq,
-            rpc,
-        });
+        self.queues
+            .entry((from.0, to.0))
+            .or_default()
+            .push_back(Envelope {
+                from,
+                to,
+                sent_at: now,
+                deliver_at,
+                seq,
+                rpc,
+            });
         deliver_at
     }
 
@@ -143,19 +107,11 @@ impl SimNet {
     /// the synchronous request/reply path of the service (the caller
     /// blocks on the reply anyway, so the message never sits in a
     /// queue). Returns the delivery time. Counts as one sent and one
-    /// delivered message.
+    /// delivered message. Metadata-sized and uncontended, so only the
+    /// control latency is charged, whatever the endpoints and message.
     pub fn express(&mut self, from: NodeId, to: NodeId, rpc: CacheRpc, now: SimTime) -> SimTime {
-        let _ = rpc;
-        let key = (from.0, to.0);
-        let start = if self.serialize {
-            now.max(self.busy.get(&key).copied().unwrap_or(SimTime::ZERO))
-        } else {
-            now
-        };
-        let deliver_at = start + self.control.latency;
-        if self.serialize {
-            self.busy.insert(key, deliver_at);
-        }
+        let _ = (from, to, rpc);
+        let deliver_at = now + self.control.latency;
         self.next_seq += 1;
         self.obs.inc("svc.net.sent");
         self.obs.add("svc.net.delivered", 1);
@@ -164,20 +120,10 @@ impl SimNet {
 
     /// Charge a data-plane payload transfer on the `from → to` link and
     /// return its completion time. This is the peer-read path: latency
-    /// plus `bytes / bandwidth`, optionally serialized behind earlier
-    /// transfers on the same link.
+    /// plus `bytes / bandwidth` on the data link profile.
     pub fn transfer(&mut self, from: NodeId, to: NodeId, bytes: ByteSize, now: SimTime) -> SimTime {
-        let link = self.data_link(from, to);
-        let key = (from.0, to.0);
-        let start = if self.serialize {
-            now.max(self.busy.get(&key).copied().unwrap_or(SimTime::ZERO))
-        } else {
-            now
-        };
-        let done = start + link.transfer_time(bytes);
-        if self.serialize {
-            self.busy.insert(key, done);
-        }
+        let _ = (from, to);
+        let done = now + self.data.transfer_time(bytes);
         self.obs.inc("svc.net.transfers");
         self.obs.add("svc.net.bytes", bytes.as_u64());
         done
@@ -268,50 +214,6 @@ mod tests {
             done,
             SimTime::ZERO + SimDuration::from_micros(80) + SimDuration::from_millis(1)
         );
-    }
-
-    #[test]
-    fn serialized_links_queue_back_to_back() {
-        let mut n = net();
-        n.set_serialize(true);
-        let first = n.transfer(
-            NodeId(0),
-            NodeId(1),
-            ByteSize::new(1_250_000),
-            SimTime::ZERO,
-        );
-        let second = n.transfer(
-            NodeId(0),
-            NodeId(1),
-            ByteSize::new(1_250_000),
-            SimTime::ZERO,
-        );
-        assert!(second > first, "second transfer waits for the link");
-        // The reverse direction is a different link and does not queue.
-        let reverse = n.transfer(
-            NodeId(1),
-            NodeId(0),
-            ByteSize::new(1_250_000),
-            SimTime::ZERO,
-        );
-        assert_eq!(reverse, first);
-    }
-
-    #[test]
-    fn per_link_overrides_slow_one_path_only() {
-        let mut n = net();
-        n.set_link(
-            NodeId(0),
-            NodeId(1),
-            LinkConfig {
-                latency: SimDuration::from_millis(5),
-                bandwidth: 1.25e9,
-            },
-        );
-        let slow = n.transfer(NodeId(0), NodeId(1), ByteSize::new(0), SimTime::ZERO);
-        let fast = n.transfer(NodeId(1), NodeId(0), ByteSize::new(0), SimTime::ZERO);
-        assert_eq!(slow, SimTime::ZERO + SimDuration::from_millis(5));
-        assert_eq!(fast, SimTime::ZERO + SimDuration::from_micros(80));
     }
 
     #[test]

@@ -202,23 +202,41 @@ pub fn replay(
     cache: &mut dyn CacheSystem,
     storage: &mut dyn StorageBackend,
 ) -> ReplayReport {
+    let start_stats = cache.stats();
+    let (latency, _, end) = replay_sequential(trace, dataset, cache, storage, SimDuration::ZERO);
+    ReplayReport {
+        stats: cache.stats().delta_since(&start_stats),
+        latency,
+        elapsed: end.saturating_since(SimTime::ZERO),
+    }
+}
+
+/// The one sequential demand-fetch loop behind [`replay`] and depth-0
+/// [`replay_prefetch`]: each access submits when the previous one was
+/// delivered plus `compute`. Returns the per-access wait histogram, the
+/// summed wait (stall), and the final clock.
+fn replay_sequential(
+    trace: &Trace,
+    dataset: &Dataset,
+    cache: &mut dyn CacheSystem,
+    storage: &mut dyn StorageBackend,
+    compute: SimDuration,
+) -> (LatencyHistogram, SimDuration, SimTime) {
     let mut now = SimTime::ZERO;
     let mut latency = LatencyHistogram::new();
-    let start_stats = cache.stats();
+    let mut stall = SimDuration::ZERO;
     for r in &trace.records {
         let size = dataset.sample_size(r.sample);
         // The sequential clock only moves forward, so the storage model
         // may retire queue bookings from the virtual past.
         storage.release_before(now);
         let f = cache.fetch(r.job, r.sample, size, now, storage);
-        latency.record(f.ready_at.saturating_since(now));
-        now = f.ready_at;
+        let wait = f.ready_at.saturating_since(now);
+        latency.record(wait);
+        stall += wait;
+        now = f.ready_at + compute;
     }
-    ReplayReport {
-        stats: cache.stats().delta_since(&start_stats),
-        latency,
-        elapsed: now.saturating_since(SimTime::ZERO),
-    }
+    (latency, stall, now)
 }
 
 /// Replay `trace` through a shared [`ConcurrentCache`] on `threads`
@@ -347,20 +365,10 @@ pub fn replay_prefetch(
     compute: SimDuration,
     obs: icache_obs::Obs,
 ) -> Result<PrefetchReplayReport> {
-    let mut now = SimTime::ZERO;
-    let mut latency = LatencyHistogram::new();
-    let mut stall = SimDuration::ZERO;
     let start_stats = cache.stats();
-    let prefetch = if depth == 0 {
-        for r in &trace.records {
-            let size = dataset.sample_size(r.sample);
-            let f = cache.fetch(r.job, r.sample, size, now, storage);
-            let wait = f.ready_at.saturating_since(now);
-            latency.record(wait);
-            stall += wait;
-            now = f.ready_at + compute;
-        }
-        PrefetchReport::default()
+    let (latency, stall, end, prefetch) = if depth == 0 {
+        let (latency, stall, end) = replay_sequential(trace, dataset, cache, storage, compute);
+        (latency, stall, end, PrefetchReport::default())
     } else {
         let plan: Vec<PlannedAccess> = trace
             .records
@@ -372,6 +380,9 @@ pub fn replay_prefetch(
             })
             .collect();
         let mut pipe = PrefetchPipeline::new(depth, plan, SimTime::ZERO, obs)?;
+        let mut now = SimTime::ZERO;
+        let mut latency = LatencyHistogram::new();
+        let mut stall = SimDuration::ZERO;
         for pos in 0..trace.records.len() {
             let f = pipe.fetch(pos, now, cache, storage);
             let wait = f.ready_at.saturating_since(now);
@@ -379,13 +390,13 @@ pub fn replay_prefetch(
             stall += wait;
             now = f.ready_at + compute;
         }
-        pipe.finish()
+        (latency, stall, now, pipe.finish())
     };
     Ok(PrefetchReplayReport {
         report: ReplayReport {
             stats: cache.stats().delta_since(&start_stats),
             latency,
-            elapsed: now.saturating_since(SimTime::ZERO),
+            elapsed: end.saturating_since(SimTime::ZERO),
         },
         stall,
         prefetch,

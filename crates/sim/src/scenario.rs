@@ -3,8 +3,8 @@
 use crate::{run_single_job, JobConfig, RunMetrics, SamplingMode};
 use icache_baselines::{IlfuCache, LruCache, MinIoCache, OracleSource, QuiverCache};
 use icache_core::{
-    CacheService, CacheSystem, DistributedCache, DistributedConfig, IcacheConfig, IcacheManager,
-    RecoveryMode, ServiceConfig, Substitution,
+    CacheService, CacheSystem, IcacheConfig, IcacheManager, RecoveryMode, ServiceConfig,
+    Substitution,
 };
 use icache_dnn::ModelProfile;
 use icache_sampling::ImportanceCriterion;
@@ -387,7 +387,7 @@ impl Scenario {
         )
     }
 
-    /// Run the scenario on a [`DistributedCache`] cluster of `nodes`
+    /// Run the scenario on a static [`CacheService`] cluster of `nodes`
     /// data-parallel ranks (§III-E), one sharded job per node, all sharing
     /// the scenario seed so the shards walk one common epoch plan.
     ///
@@ -406,6 +406,18 @@ impl Scenario {
         nodes: u32,
         obs: &icache_obs::Obs,
     ) -> Result<Vec<RunMetrics>> {
+        let configs = self.shard_jobs(nodes)?;
+        let mut cluster = CacheService::new(
+            ServiceConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?,
+            &self.dataset,
+        )?;
+        let mut storage = self.build_storage()?;
+        crate::run_multi_job_with_obs(configs, &mut cluster, storage.as_mut(), obs)
+    }
+
+    /// One data-parallel job per rank of an iCache cluster of `nodes`
+    /// nodes, each training its shard of a common epoch plan.
+    fn shard_jobs(&self, nodes: u32) -> Result<Vec<JobConfig>> {
         if self.system != SystemKind::Icache {
             return Err(icache_types::Error::InvalidConfig {
                 field: "system",
@@ -421,12 +433,7 @@ impl Scenario {
                 reason: format!("a distributed run needs at least 2 nodes, got {nodes}"),
             });
         }
-        let mut cluster = DistributedCache::new(
-            DistributedConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?,
-            &self.dataset,
-        )?;
-        let mut storage = self.build_storage()?;
-        let configs = (0..nodes)
+        Ok((0..nodes)
             .map(|k| {
                 let mut cfg = self.job_config(JobId(k));
                 cfg.shard = Some((k, nodes));
@@ -434,8 +441,7 @@ impl Scenario {
                 cfg.seed = self.seed;
                 cfg
             })
-            .collect();
-        crate::run_multi_job_with_obs(configs, &mut cluster, storage.as_mut(), obs)
+            .collect())
     }
 
     /// Like [`Scenario::run_distributed_with_obs`], but on the full
@@ -456,24 +462,10 @@ impl Scenario {
         churn: &ChurnSpec,
         obs: &icache_obs::Obs,
     ) -> Result<(Vec<RunMetrics>, CacheService)> {
-        if self.system != SystemKind::Icache {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "system",
-                reason: format!(
-                    "distributed runs require the iCache system, got {:?}",
-                    self.system
-                ),
-            });
-        }
-        if nodes < 2 {
-            return Err(icache_types::Error::InvalidConfig {
-                field: "nodes",
-                reason: format!("a distributed run needs at least 2 nodes, got {nodes}"),
-            });
-        }
-        let dist =
-            DistributedConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?;
-        let mut svc_cfg = ServiceConfig::from_distributed(&dist).with_churn();
+        let configs = self.shard_jobs(nodes)?;
+        let mut svc_cfg =
+            ServiceConfig::for_dataset(&self.dataset, nodes as usize, self.cache_fraction)?
+                .with_churn();
         svc_cfg.race_fetches = churn.race;
         if let Some(latency) = churn.net_latency {
             svc_cfg.control.latency = latency;
@@ -496,15 +488,6 @@ impl Scenario {
             }
         }
         let mut storage = self.build_storage()?;
-        let configs = (0..nodes)
-            .map(|k| {
-                let mut cfg = self.job_config(JobId(k));
-                cfg.shard = Some((k, nodes));
-                // Shards share one epoch plan: same seed on every rank.
-                cfg.seed = self.seed;
-                cfg
-            })
-            .collect();
         let metrics = crate::run_multi_job_with_obs(configs, &mut service, storage.as_mut(), obs)?;
         Ok((metrics, service))
     }
@@ -524,8 +507,8 @@ pub struct ChurnSpec {
     /// restarting with an empty cache. Only meaningful with `rejoin`.
     pub warm: bool,
     /// Override both control- and data-plane link latency (the
-    /// `--net-latency` flag); `None` keeps the facade-equivalent
-    /// defaults (zero control latency, `remote_hop` data latency).
+    /// `--net-latency` flag); `None` keeps the static cluster's
+    /// defaults (zero control latency, 80 µs data latency).
     pub net_latency: Option<SimDuration>,
     /// Race remote cache reads against a hedged local storage fetch.
     pub race: bool,

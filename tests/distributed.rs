@@ -1,7 +1,7 @@
 //! Integration tests of the distributed cache (§III-E) driven through the
 //! training simulator.
 
-use icache::core::{DistributedCache, DistributedConfig};
+use icache::core::{CacheService, ServiceConfig};
 use icache::dnn::ModelProfile;
 use icache::sim::{run_multi_job, JobConfig, SamplingMode};
 use icache::storage::{Nfs, NfsConfig, StorageBackend};
@@ -21,8 +21,8 @@ fn shard_jobs(dataset: &Dataset, nodes: u32, epochs: u32) -> Vec<JobConfig> {
 }
 
 fn run_cluster(dataset: &Dataset, nodes: u32) -> (Vec<icache::sim::RunMetrics>, u64, u64) {
-    let mut cluster = DistributedCache::new(
-        DistributedConfig::for_dataset(dataset, nodes as usize, 0.2).expect("cfg"),
+    let mut cluster = CacheService::new(
+        ServiceConfig::for_dataset(dataset, nodes as usize, 0.2).expect("cfg"),
         dataset,
     )
     .expect("cluster");

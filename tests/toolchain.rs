@@ -1,14 +1,14 @@
-//! Integration tests of the tooling layer: the request/response server,
-//! tracing, replay, PM tier, and criterion extensions working together —
-//! the workflows a downstream user composes from the public API.
+//! Integration tests of the tooling layer: tracing, replay, PM tier, and
+//! criterion extensions working together — the workflows a downstream
+//! user composes from the public API.
 
-use icache::core::{IcacheConfig, IcacheManager, IcacheServer, PmTierConfig, Request, Response};
+use icache::core::{IcacheConfig, IcacheManager, PmTierConfig};
 use icache::dnn::ModelProfile;
 use icache::sampling::ImportanceCriterion;
 use icache::sim::replay::{replay, AccessPattern, Trace};
 use icache::sim::{run_single_job, JobConfig, SamplingMode, Scenario, SystemKind, TracingCache};
 use icache::storage::{LocalTier, Pfs, PfsConfig};
-use icache::types::{Dataset, JobId, SampleId, SimTime};
+use icache::types::{Dataset, JobId};
 
 #[test]
 fn record_with_tracing_then_replay_reproduces_the_request_stream() {
@@ -38,69 +38,6 @@ fn record_with_tracing_then_replay_reproduces_the_request_stream() {
     let report = replay(&trace, &dataset, &mut lru, &mut tmpfs);
     assert_eq!(report.stats.requests(), fetched);
     assert_eq!(report.latency.count(), fetched);
-}
-
-#[test]
-fn server_facade_drives_a_whole_training_loop() {
-    let dataset = Dataset::cifar10().scaled(0.01).expect("scale");
-    let manager = IcacheManager::new(
-        IcacheConfig::for_dataset(&dataset, 0.3).expect("cfg"),
-        &dataset,
-    )
-    .expect("manager");
-    let mut server = IcacheServer::new(manager, dataset.clone());
-    let mut storage = Pfs::new(PfsConfig::orangefs_default()).expect("pfs");
-
-    // Two epochs of batched loads through the wire-level interface.
-    let mut now = SimTime::ZERO;
-    for epoch in 0..2u32 {
-        assert_eq!(
-            server.handle(
-                Request::EpochStart {
-                    job: JobId(0),
-                    epoch: icache::types::Epoch(epoch)
-                },
-                &mut storage
-            ),
-            Response::Ack
-        );
-        for batch_start in (0..dataset.len()).step_by(64) {
-            let ids: Vec<SampleId> = (batch_start..(batch_start + 64).min(dataset.len()))
-                .map(SampleId)
-                .collect();
-            match server.handle(
-                Request::Load {
-                    job: JobId(0),
-                    ids,
-                    now,
-                },
-                &mut storage,
-            ) {
-                Response::Batch(fetches) => now = fetches.last().expect("non-empty").ready_at,
-                other => panic!("unexpected reply {other:?}"),
-            }
-        }
-        assert_eq!(
-            server.handle(
-                Request::EpochEnd {
-                    job: JobId(0),
-                    epoch: icache::types::Epoch(epoch)
-                },
-                &mut storage
-            ),
-            Response::Ack
-        );
-    }
-    let Response::Stats(stats) = server.handle(Request::Stats, &mut storage) else {
-        panic!("expected stats");
-    };
-    assert_eq!(stats.requests(), dataset.len() * 2);
-    // Warm-up filled the cache: the second epoch must have hit.
-    assert!(
-        stats.hit_ratio() > 0.1,
-        "hit ratio {:.3}",
-        stats.hit_ratio()
-    );
 }
 
 #[test]
