@@ -1,11 +1,11 @@
 //! The shared replay workload: the five-policy cache lineup driven by
-//! `icache_replay` and `bench_snapshot`.
+//! `icache_replay` and the repo benchmark's replay workloads.
 //!
-//! Both binaries replay one read-only [`Trace`] through every policy;
-//! this module owns the policy lineup and construction so the CLI tool
-//! and the perf-snapshot recorder cannot drift apart. Policies are built
-//! from plain `&str` names (each build is cheap and self-contained), so
-//! a sweep task can construct its cache inside the worker thread — the
+//! Both replay one read-only [`Trace`] through every policy; this
+//! module owns the policy lineup and construction so the CLI tool and
+//! the benchmark cannot drift apart. Policies are built from plain
+//! `&str` names (each build is cheap and self-contained), so a sweep
+//! task can construct its cache inside the worker thread — the
 //! `dyn CacheSystem` trait object never crosses a thread boundary.
 
 use icache_baselines::{IlfuCache, LruCache, MinIoCache, QuiverCache};

@@ -36,11 +36,6 @@ impl ShardedHeap {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_len(&self) -> usize {
-        self.shards.len()
-    }
-
     #[inline]
     fn shard_of(&self, id: SampleId) -> &Mutex<HHeap> {
         &self.shards[(id.0 & self.mask) as usize]

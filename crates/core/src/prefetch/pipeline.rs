@@ -131,11 +131,6 @@ impl PrefetchPipeline {
         self.window.depth()
     }
 
-    /// Number of planned accesses.
-    pub fn plan_len(&self) -> usize {
-        self.plan.len()
-    }
-
     /// Issue lookahead fetches in plan order while a window slot is
     /// free. Each issue starts at the freeing time of the oldest free
     /// slot, so the backend sees up to `depth` temporally-overlapping

@@ -22,8 +22,7 @@ use icache_obs::{Obs, Observable, TraceEvent};
 use icache_sampling::HList;
 use icache_storage::StorageBackend;
 use icache_types::{
-    ByteSize, Dataset, Epoch, Error, JobId, NodeId, NodeState, Result, SampleId, SimDuration,
-    SimTime,
+    ByteSize, Dataset, Epoch, Error, JobId, NodeId, Result, SampleId, SimDuration, SimTime,
 };
 use std::collections::BTreeMap;
 
@@ -254,11 +253,6 @@ impl CacheService {
         self.remote_hits
     }
 
-    /// The failure detector's view of `node`.
-    pub fn membership_state(&self, node: NodeId) -> NodeState {
-        self.membership.state(node)
-    }
-
     /// Nodes not declared down, ascending.
     pub fn live_nodes(&self) -> Vec<NodeId> {
         self.membership.live()
@@ -333,21 +327,6 @@ impl CacheService {
             absorb(&mut self.lost_stats, &m.stats());
         }
         self.nodes[i].crashed = true;
-    }
-
-    /// Gracefully remove `node`: immediate down, no suspicion window.
-    pub fn leave_node(&mut self, node: NodeId, now: SimTime) {
-        let i = node.0 as usize;
-        self.clock = self.clock.max(now);
-        if !self.nodes[i].crashed {
-            let to = NodeId(((i + 1) % self.nodes.len()) as u32);
-            self.net
-                .express(node, to, CacheRpc::Leave { node }, self.clock);
-        }
-        self.retire_manager(i);
-        if self.membership.leave(node) {
-            self.repartition();
-        }
     }
 
     /// Revive `node` with a fresh manager; `warm` replays the recovery

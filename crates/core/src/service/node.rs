@@ -110,7 +110,7 @@ impl ServiceNode {
                     None => CacheRpcReply::NotFound,
                 },
             },
-            CacheRpc::Heartbeat { .. } | CacheRpc::Join { .. } | CacheRpc::Leave { .. } => {
+            CacheRpc::Heartbeat { .. } | CacheRpc::Join { .. } => {
                 // Liveness and membership are cluster-level concerns; the
                 // node merely acknowledges receipt.
                 CacheRpcReply::Ack
@@ -167,10 +167,5 @@ impl NodeHandle<'_> {
             .as_ref()
             .map(|m| m.used_bytes())
             .unwrap_or(ByteSize::ZERO)
-    }
-
-    /// Entries in this node's directory shard.
-    pub fn shard_len(&self) -> usize {
-        self.node.shard.len()
     }
 }

@@ -66,11 +66,6 @@ pub enum CacheRpc {
         /// Whether the node intends a warm (index-driven) restart.
         warm: bool,
     },
-    /// Announce a graceful departure.
-    Leave {
-        /// The departing node.
-        node: NodeId,
-    },
 }
 
 impl CacheRpc {
@@ -83,7 +78,6 @@ impl CacheRpc {
             CacheRpc::DirectoryUpdate { .. } => "directory_update",
             CacheRpc::Heartbeat { .. } => "heartbeat",
             CacheRpc::Join { .. } => "join",
-            CacheRpc::Leave { .. } => "leave",
         }
     }
 
@@ -152,7 +146,6 @@ mod tests {
                 node: NodeId(1),
                 warm: true,
             },
-            CacheRpc::Leave { node: NodeId(1) },
         ];
         let names: Vec<_> = reqs.iter().map(|r| r.name()).collect();
         assert_eq!(
@@ -163,8 +156,7 @@ mod tests {
                 "fetch_remote",
                 "directory_update",
                 "heartbeat",
-                "join",
-                "leave"
+                "join"
             ]
         );
         for r in &reqs {

@@ -17,7 +17,7 @@ pub enum FileKind {
     Example,
     /// Test code (`tests/` directories).
     Test,
-    /// A criterion bench (`benches/`).
+    /// A cargo bench target (`benches/`).
     Bench,
 }
 

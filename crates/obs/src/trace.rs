@@ -608,11 +608,6 @@ impl Obs {
         self.lock().metrics.snapshot()
     }
 
-    /// Run a closure against the metrics registry (for bulk updates).
-    pub fn with_metrics<R>(&self, f: impl FnOnce(&mut MetricsRegistry) -> R) -> R {
-        f(&mut self.lock().metrics)
-    }
-
     /// Reset both the metrics registry and the trace buffer.
     pub fn reset(&self) {
         let mut inner = self.lock();

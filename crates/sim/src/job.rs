@@ -310,11 +310,6 @@ impl TrainingJob {
         self.table.raw()
     }
 
-    /// Read access to the criterion-scored importance view.
-    pub fn criterion_table(&self) -> &CriterionTable {
-        &self.table
-    }
-
     /// Read access to the loss model.
     pub fn loss_model(&self) -> &LossModel {
         &self.loss_model

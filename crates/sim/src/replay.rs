@@ -528,6 +528,70 @@ mod tests {
         );
     }
 
+    /// `IcacheManager` and a one-stripe `ConcurrentManager` agree on
+    /// everything the H side decides: hits, admission, eviction, and the
+    /// epoch-end H/L rebalance. ROADMAP item 2 records that their L
+    /// paths still diverge (substitutions and misses differ at one
+    /// loader thread), so L-side counters are deliberately not compared.
+    #[test]
+    fn one_stripe_concurrent_manager_matches_sequential_h_side() {
+        use icache_core::{ConcurrentManager, IcacheConfig, IcacheManager};
+        use icache_sampling::{HList, ImportanceTable};
+        use icache_storage::{Pfs, PfsConfig};
+        use icache_types::Epoch;
+
+        let universe = 2_000;
+        let ds = dataset(universe);
+        for pattern in [
+            AccessPattern::Zipf { s: 1.1 },
+            AccessPattern::Uniform,
+            AccessPattern::EpochShuffle,
+        ] {
+            let t = pattern.generate(universe, 20_000, JobId(0), 11).unwrap();
+            // Trace popularity as importance, top half as H-samples.
+            let mut counts = vec![0.0; universe as usize];
+            for r in t.records() {
+                counts[r.sample.index()] += 1.0;
+            }
+            let mut table = ImportanceTable::new(universe);
+            for (id, &count) in counts.iter().enumerate() {
+                if count > 0.0 {
+                    table.record_loss(SampleId(id as u64), count);
+                }
+            }
+            let hlist = HList::top_fraction(&table, 0.5);
+            let mut cfg = IcacheConfig::for_dataset(&ds, 0.1).unwrap();
+            // Packages small enough that the epoch-end rebalance can
+            // move the H/L split of this test-sized cache.
+            cfg.package_size = ByteSize::kib(48);
+
+            let mut seq = IcacheManager::new(cfg.clone(), &ds).unwrap();
+            seq.update_hlist(JobId(0), &hlist);
+            seq.on_epoch_start(JobId(0), Epoch(0));
+            let mut pfs = Pfs::new(PfsConfig::orangefs_default()).unwrap();
+            let s = replay(&t, &ds, &mut seq, &mut pfs).stats;
+            seq.on_epoch_end(JobId(0), Epoch(0));
+
+            let conc = ConcurrentManager::new(cfg, &ds, 1).unwrap();
+            conc.update_hlist(JobId(0), &hlist);
+            conc.on_epoch_start(JobId(0), Epoch(0));
+            let c = replay_concurrent(&t, &ds, &conc, 1, 11, || {
+                Ok(Box::new(Pfs::new(PfsConfig::orangefs_default())?))
+            })
+            .unwrap()
+            .stats;
+            conc.on_epoch_end(JobId(0), Epoch(0));
+
+            assert!(s.h_hits > 0, "{pattern:?}: trace never hit H");
+            assert_eq!(s.h_hits, c.h_hits, "{pattern:?} h_hits");
+            assert_eq!(s.insertions, c.insertions, "{pattern:?} insertions");
+            assert_eq!(s.evictions, c.evictions, "{pattern:?} evictions");
+            assert_eq!(s.rejections, c.rejections, "{pattern:?} rejections");
+            assert_eq!(seq.h_capacity(), conc.h_capacity(), "{pattern:?} H size");
+            assert_eq!(seq.l_capacity(), conc.l_capacity(), "{pattern:?} L size");
+        }
+    }
+
     #[test]
     fn concurrent_replay_counters_sum_across_threads() {
         use icache_core::MutexCache;

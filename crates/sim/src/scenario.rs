@@ -290,11 +290,6 @@ impl Scenario {
         &self.dataset
     }
 
-    /// The system under test.
-    pub fn system_kind(&self) -> SystemKind {
-        self.system
-    }
-
     /// Build the cache system under test.
     ///
     /// # Errors

@@ -122,14 +122,6 @@ impl Pfs {
         &self.config
     }
 
-    /// Utilisation horizon of each data server (diagnostics).
-    pub fn server_busy_until(&self) -> Vec<SimTime> {
-        self.servers
-            .iter()
-            .map(TimelineResource::busy_until)
-            .collect()
-    }
-
     fn home_server(&self, id: SampleId) -> usize {
         (splitmix64(self.config.placement_seed ^ splitmix64(id.0)) % self.config.num_servers as u64)
             as usize

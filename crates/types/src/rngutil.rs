@@ -97,11 +97,6 @@ impl SeedSequence {
         StdRng::seed_from_u64(self.seed(tag))
     }
 
-    /// Build a [`StdRng`] for `tag` and a numeric discriminator.
-    pub fn rng_indexed(&self, tag: &str, index: u64) -> StdRng {
-        StdRng::seed_from_u64(self.seed_indexed(tag, index))
-    }
-
     /// A child sequence, useful for handing a component its own namespace.
     pub fn child(&self, tag: &str) -> SeedSequence {
         SeedSequence {

@@ -13,7 +13,7 @@ for b in fig01_io_fraction fig02_cis_limits fig03_importance_drift \
          fig13_distributed fig14_multi_job fig15_workers fig16_cache_size \
          fig17_churn fig18_prefetch \
          ablation_package_size ablation_benefit_threshold ablation_pm_tier \
-         ablation_criterion; do
+         ablation_criterion ablation_shadow_refresh; do
   echo "== $b"
   ./target/release/"$b" | tee "results/$b.txt"
 done
