@@ -1,8 +1,11 @@
 //! The lock-striped concurrent cache manager.
 
-use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, ShardedHeap, StripedMap};
+use super::{lock_counted, stripe_count, AtomicCacheStats, FreshPool, StripedMap};
 use crate::dense::{IdSet, IdSlab};
-use crate::{CacheStats, CacheSystem, Fetch, FetchOutcome, IcacheConfig, Packager, Substitution};
+use crate::{
+    CacheStats, CacheSystem, Fetch, FetchOutcome, HCache, IcacheConfig, Packager, SampleData,
+    Substitution,
+};
 use icache_obs::Obs;
 use icache_sampling::HList;
 use icache_storage::StorageBackend;
@@ -11,8 +14,8 @@ use icache_types::{
 };
 use rand::rngs::StdRng;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, RwLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, RwLock};
 
 /// A cache node servable by many loader threads concurrently.
 ///
@@ -160,25 +163,50 @@ struct LoaderState {
     busy: SimTime,
 }
 
+/// State only the epoch barriers mutate. It lives inside the epoch
+/// gate itself: fetches read it through their read guard, and
+/// `update_hlist` / `on_epoch_end` / `set_obs` rewrite it under the
+/// write guard, so it needs no lock of its own.
+#[derive(Debug)]
+struct EpochView {
+    /// Which ids are currently H-samples: a dense bitmap over the
+    /// dataset universe, so the membership test on every fetch is one
+    /// word load.
+    h_members: IdSet,
+    /// Admission importance per id.
+    effective_iv: IdSlab<ImportanceValue>,
+    /// Whether any H-list has arrived (before that, warm-up).
+    have_hlist: bool,
+    obs: Obs,
+    /// Counter values already published to the registry (the registry
+    /// is add-only, so publishes are deltas).
+    published: CacheStats,
+    /// `cache.lock_contention` already published to the registry.
+    published_contention: u64,
+}
+
 /// The lock-striped concurrent counterpart of [`crate::IcacheManager`].
 ///
 /// Serves the single-tenant replay shape: two regions, H-heap
 /// admission, L-region packages with `ST_LC` substitution, per-epoch
-/// rebalance. The advanced sequential features (multi-job probing, PM
-/// victim tier, `ST_HC` substitution, per-job H-list filters) stay on
-/// the sequential manager — [`ConcurrentManager::new`] rejects configs
+/// rebalance. The H-region is the sequential [`HCache`] itself behind
+/// the admit lock, so Algorithm 1 admission has one implementation.
+/// The advanced sequential features (multi-job probing, PM victim
+/// tier, `ST_HC` substitution, per-job H-list filters) stay on the
+/// sequential manager — [`ConcurrentManager::new`] rejects configs
 /// that ask for them.
 ///
 /// Concurrency contract (DESIGN.md §8):
 ///
 /// * fetches hold the epoch gate's **read** lock; `update_hlist` /
 ///   `on_epoch_start` / `on_epoch_end` hold **write** (stop-the-world);
+///   state only those barriers change lives inside the gate;
 /// * resident membership is striped ([`StripedMap`], [`FreshPool`]),
-///   the H-heap is sharded ([`ShardedHeap`]), counters are atomics
-///   ([`AtomicCacheStats`]);
-/// * H-region admissions (the multi-victim eviction loop) serialize on
-///   one admit lock — hits stay stripe-local; misses already pay a
-///   storage round trip, so the admit lock is off the fast path;
+///   counters are atomics ([`AtomicCacheStats`]);
+/// * H-region admissions run [`HCache::admit`] under one admit lock and
+///   mirror its evictions into the striped H index — hits stay
+///   stripe-local; misses already pay a storage round trip, so the
+///   admit lock is off the fast path;
 /// * per-event traces are **not** emitted: unlike the sequential
 ///   manager, only counters and gauges are recorded, published at
 ///   epoch boundaries and on [`ConcurrentCache::set_obs`].
@@ -188,20 +216,12 @@ pub struct ConcurrentManager {
     dataset: Dataset,
     stripes: usize,
     /// Epoch gate: fetches read, epoch-boundary operations write.
-    gate: RwLock<()>,
-    /// Which ids are currently H-samples (read-mostly; written only
-    /// under the gate's write lock). A dense bitmap over the dataset
-    /// universe: the membership test on every fetch is one word load.
-    h_members: RwLock<IdSet>,
-    have_hlist: AtomicBool,
-    /// Admission importance per id (written under the write gate).
-    effective_iv: RwLock<IdSlab<ImportanceValue>>,
-    // H region.
-    h_items: StripedMap<ByteSize>,
-    h_heap: ShardedHeap,
-    h_used: AtomicU64,
-    h_capacity: AtomicU64,
-    admit: Mutex<()>,
+    gate: RwLock<EpochView>,
+    // H region: the striped index answers hits; `admit` owns the
+    // region and its heap. Both hold the same ids whenever `admit` is
+    // free.
+    h_items: StripedMap<()>,
+    admit: Mutex<HCache>,
     // L region.
     l_resident: StripedMap<ByteSize>,
     l_fresh: FreshPool,
@@ -216,12 +236,6 @@ pub struct ConcurrentManager {
     /// Contended acquisitions of the admit/loader/missed locks (stripe
     /// locks count their own; [`ConcurrentCache::contended`] sums all).
     own_contention: AtomicU64,
-    /// `cache.lock_contention` already published to the registry.
-    published_contention: AtomicU64,
-    obs: Mutex<Obs>,
-    /// Counter values already published to the registry (the registry
-    /// is add-only, so publishes are deltas).
-    published: Mutex<CacheStats>,
 }
 
 impl ConcurrentManager {
@@ -235,8 +249,6 @@ impl ConcurrentManager {
     /// the concurrent path does not serve: `multi_job`, `pm_tier`,
     /// `hlist_filter`, and `ST_HC` substitution.
     pub fn new(config: IcacheConfig, dataset: &Dataset, stripes: usize) -> Result<Self> {
-        // Reuse the sequential validation wholesale by building the
-        // region split the same way IcacheManager::new does.
         if config.multi_job {
             return Err(Error::invalid_config(
                 "multi_job",
@@ -261,23 +273,21 @@ impl ConcurrentManager {
                 "ST_HC is not served by ConcurrentManager; use the sequential IcacheManager",
             ));
         }
-        // Region split identical to the sequential manager.
-        let seq = crate::IcacheManager::new(config.clone(), dataset)?;
-        let h_capacity = seq.h_capacity();
-        let l_capacity = seq.l_capacity();
-        drop(seq);
+        config.validate()?;
+        let (h_capacity, l_capacity) = config.initial_split();
         let n = stripe_count(stripes);
         Ok(ConcurrentManager {
             stripes: n,
-            gate: RwLock::new(()),
-            h_members: RwLock::new(IdSet::new(dataset.len())),
-            have_hlist: AtomicBool::new(false),
-            effective_iv: RwLock::new(IdSlab::new()),
+            gate: RwLock::new(EpochView {
+                h_members: IdSet::new(dataset.len()),
+                effective_iv: IdSlab::new(),
+                have_hlist: false,
+                obs: Obs::noop(),
+                published: CacheStats::default(),
+                published_contention: 0,
+            }),
             h_items: StripedMap::new(n),
-            h_heap: ShardedHeap::new(n),
-            h_used: AtomicU64::new(0),
-            h_capacity: AtomicU64::new(h_capacity.as_u64()),
-            admit: Mutex::new(()),
+            admit: Mutex::new(HCache::new(h_capacity)),
             l_resident: StripedMap::new(n),
             l_fresh: FreshPool::new(n),
             l_used: AtomicU64::new(0),
@@ -294,22 +304,19 @@ impl ConcurrentManager {
             epoch_h_accesses: AtomicU64::new(0),
             epoch_l_accesses: AtomicU64::new(0),
             own_contention: AtomicU64::new(0),
-            published_contention: AtomicU64::new(0),
-            obs: Mutex::new(Obs::noop()),
-            published: Mutex::new(CacheStats::default()),
             dataset: dataset.clone(),
             config,
         })
     }
 
-    /// Number of lock stripes per region structure.
-    pub fn stripe_len(&self) -> usize {
-        self.stripes
+    /// The H-region, behind the admit lock.
+    fn h_region(&self) -> MutexGuard<'_, HCache> {
+        lock_counted(&self.admit, &self.own_contention)
     }
 
     /// Current H-region capacity.
     pub fn h_capacity(&self) -> ByteSize {
-        ByteSize::new(self.h_capacity.load(Ordering::Relaxed))
+        self.h_region().capacity()
     }
 
     /// Current L-region capacity.
@@ -327,15 +334,22 @@ impl ConcurrentManager {
         self.l_resident.len()
     }
 
-    fn hit_service(&self, size: ByteSize) -> SimDuration {
-        self.config.rpc_overhead
-            + SimDuration::from_secs_f64(size.as_f64() / self.config.dram_bandwidth)
+    /// Structural self-check for tests and concurrency models: the
+    /// striped H index holds exactly the [`HCache`] residents, and every
+    /// striped structure passes its own check. Takes the admit lock, so
+    /// call it between operations.
+    pub fn check_invariants(&self) -> bool {
+        let h = self.h_region();
+        self.h_items.check_invariants()
+            && self.h_items.sorted_ids().into_iter().eq(h.ids())
+            && self.l_resident.check_invariants()
+            && self.l_fresh.check_invariants()
     }
 
     fn hit(&self, id: SampleId, size: ByteSize, now: SimTime, outcome: FetchOutcome) -> Fetch {
         AtomicCacheStats::add_bytes(&self.stats.bytes_from_cache, size);
         Fetch {
-            ready_at: now + self.hit_service(size),
+            ready_at: now + self.config.hit_service(size),
             served_id: id,
             outcome,
         }
@@ -360,6 +374,7 @@ impl ConcurrentManager {
 
     fn fetch_h(
         &self,
+        view: &EpochView,
         id: SampleId,
         size: ByteSize,
         now: SimTime,
@@ -371,64 +386,38 @@ impl ConcurrentManager {
             return self.hit(id, size, now, FetchOutcome::HitH);
         }
         let fetch = self.storage_miss(id, size, now, storage);
-        let iv = self
+        let iv = view
             .effective_iv
-            .read()
-            .expect("effective_iv lock poisoned: a writer panicked")
             .get(id)
             .copied()
             .unwrap_or(ImportanceValue::ZERO);
-        if !self.admit_h(id, size, iv) {
+        let mut h = self.h_region();
+        // Another thread may have admitted `id` since the index check:
+        // then `admit` only refreshes its key, and nothing is inserted.
+        let resident = h.contains(id);
+        let result = h.admit(SampleData::generate(id, size), iv);
+        if !result.admitted {
             AtomicCacheStats::bump(&self.stats.rejections);
+            return fetch;
+        }
+        self.unindex_evicted(&result.evicted);
+        if !resident {
+            self.h_items.insert(id, ());
+            AtomicCacheStats::bump(&self.stats.insertions);
         }
         fetch
     }
 
-    /// The H-region admission loop (Algorithm 1 lines 9–16), serialized
-    /// on the admit lock so the multi-victim evict-or-restore sequence
-    /// is atomic. Returns whether the sample was admitted.
-    fn admit_h(&self, id: SampleId, size: ByteSize, iv: ImportanceValue) -> bool {
-        let capacity = self.h_capacity.load(Ordering::Relaxed);
-        if size.as_u64() > capacity {
-            return false;
-        }
-        let _adm = lock_counted(&self.admit, &self.own_contention);
-        if self.h_items.contains(id) {
-            // Raced with another thread admitting the same id: refresh
-            // its key, admission itself already happened.
-            self.h_heap.insert(id, iv);
-            return true;
-        }
-        let needed = size.as_u64();
-        let mut freed = 0u64;
-        let mut popped: Vec<(SampleId, ImportanceValue, ByteSize)> = Vec::new();
-        while self.h_used.load(Ordering::Relaxed).saturating_sub(freed) + needed > capacity {
-            match self.h_heap.peek_global_min() {
-                Some((vid, viv)) if viv < iv => {
-                    self.h_heap.pop_global_min();
-                    let vsize = self.h_items.get(vid).unwrap_or(ByteSize::ZERO);
-                    freed += vsize.as_u64();
-                    popped.push((vid, viv, vsize));
-                }
-                _ => {
-                    // Cannot make room: restore provisional victims.
-                    for (vid, viv, _) in popped {
-                        self.h_heap.insert(vid, viv);
-                    }
-                    return false;
-                }
-            }
-        }
-        for (vid, _, vsize) in popped {
+    /// Drop ids the H-region evicted from the striped index and count
+    /// them. Callers hold the admit lock, so the index never lags the
+    /// region.
+    fn unindex_evicted(&self, evicted: &[SampleId]) {
+        for &vid in evicted {
             self.h_items.remove(vid);
-            self.h_used.fetch_sub(vsize.as_u64(), Ordering::Relaxed);
-            AtomicCacheStats::bump(&self.stats.evictions);
         }
-        self.h_items.insert(id, size);
-        self.h_heap.insert(id, iv);
-        self.h_used.fetch_add(needed, Ordering::Relaxed);
-        AtomicCacheStats::bump(&self.stats.insertions);
-        true
+        self.stats
+            .evictions
+            .fetch_add(evicted.len() as u64, Ordering::Relaxed);
     }
 
     fn fetch_l(
@@ -462,7 +451,7 @@ impl ConcurrentManager {
                 let sub_size = self.dataset.sample_size(sub);
                 AtomicCacheStats::add_bytes(&self.stats.bytes_from_cache, sub_size);
                 return Fetch {
-                    ready_at: now + self.hit_service(sub_size),
+                    ready_at: now + self.config.hit_service(sub_size),
                     served_id: sub,
                     outcome: FetchOutcome::Substituted {
                         by: sub,
@@ -554,21 +543,12 @@ impl ConcurrentManager {
     /// Publish counters and gauges into the attached Obs registry.
     /// Counter publishes are deltas against the last publish (the
     /// registry is add-only); called under the write gate at epoch ends
-    /// and by drivers after a replay completes.
-    pub fn publish_obs(&self) {
-        let obs = self
-            .obs
-            .lock()
-            .expect("obs handle lock poisoned: a publisher panicked")
-            .clone();
+    /// and on [`ConcurrentCache::set_obs`].
+    fn publish_obs(&self, view: &mut EpochView) {
         let snap = self.stats.snapshot();
-        let mut published = self
-            .published
-            .lock()
-            .expect("published-stats lock poisoned: a publisher panicked");
-        let delta = snap.delta_since(&published);
-        *published = snap;
-        drop(published);
+        let delta = snap.delta_since(&view.published);
+        view.published = snap;
+        let obs = &view.obs;
         obs.add("cache.h_hits", delta.h_hits);
         obs.add("cache.l_hits", delta.l_hits);
         obs.add("cache.substitutions", delta.substitutions);
@@ -589,11 +569,11 @@ impl ConcurrentManager {
             self.l_resident.max_stripe_population() as f64,
         );
         let contended = self.contended();
-        let published_contention = self.published_contention.swap(contended, Ordering::Relaxed);
         obs.add(
             "cache.lock_contention",
-            contended.saturating_sub(published_contention),
+            contended.saturating_sub(view.published_contention),
         );
+        view.published_contention = contended;
     }
 }
 
@@ -611,48 +591,29 @@ impl ConcurrentCache for ConcurrentManager {
         storage: &mut dyn StorageBackend,
         rng: &mut StdRng,
     ) -> Fetch {
-        let _gate = self
+        let view = self
             .gate
             .read()
             .expect("epoch gate poisoned: a barrier holder panicked");
-        let have_hlist = self.have_hlist.load(Ordering::Relaxed);
-        let is_h = have_hlist
-            && self
-                .h_members
-                .read()
-                .expect("h_members lock poisoned: a writer panicked")
-                .contains(id);
-        let fetch = if is_h {
-            self.fetch_h(id, size, now, storage)
+        let fetch = if view.have_hlist && view.h_members.contains(id) {
+            self.fetch_h(&view, id, size, now, storage)
         } else {
             // Before the first H-list (warm-up) everything is L-class
             // without substitution, as in the sequential manager.
-            self.fetch_l(id, size, now, storage, rng, have_hlist)
+            self.fetch_l(id, size, now, storage, rng, view.have_hlist)
         };
         self.loader_tick(now, storage);
         fetch
     }
 
     fn update_hlist(&self, _job: JobId, hlist: &HList) {
-        let _barrier = self
+        let mut view = self
             .gate
             .write()
             .expect("epoch gate poisoned: a barrier holder panicked");
         let fresh: IdSlab<ImportanceValue> = hlist.entries().iter().map(|e| (e.id, e.iv)).collect();
         let mut members = IdSet::new(self.dataset.len());
         members.extend(fresh.keys());
-        // Re-key every resident H-sample to its fresh importance
-        // (absent → zero: no longer an H-sample, prime eviction
-        // candidate). The write barrier replaces the sequential shadow-
-        // heap protocol: the rebuild is exclusive, so there is no fetch
-        // traffic to keep serving mid-refresh.
-        self.h_heap.for_each_shard(|shard| {
-            let resident: Vec<SampleId> = shard.iter().map(|(id, _)| id).collect();
-            for id in resident {
-                let iv = fresh.get(id).copied().unwrap_or(ImportanceValue::ZERO);
-                shard.update_key(id, iv);
-            }
-        });
         {
             let mut st = lock_counted(&self.loader, &self.own_contention);
             st.l_pool = self
@@ -661,15 +622,18 @@ impl ConcurrentCache for ConcurrentManager {
                 .filter(|&id| !members.contains(id))
                 .collect();
         }
-        *self
-            .h_members
-            .write()
-            .expect("h_members lock poisoned: a writer panicked") = members;
-        *self
-            .effective_iv
-            .write()
-            .expect("effective_iv lock poisoned: a writer panicked") = fresh;
-        self.have_hlist.store(true, Ordering::Relaxed);
+        // Re-key every resident H-sample to its fresh importance
+        // (absent → zero: prime eviction candidate). The write barrier
+        // quiesces all fetches, so the shadow-heap window the sequential
+        // manager keeps open until the epoch ends closes at once.
+        {
+            let mut h = self.h_region();
+            h.begin_refresh(&fresh);
+            h.finish_refresh();
+        }
+        view.h_members = members;
+        view.effective_iv = fresh;
+        view.have_hlist = true;
     }
 
     fn on_epoch_start(&self, _job: JobId, _epoch: Epoch) {
@@ -683,51 +647,38 @@ impl ConcurrentCache for ConcurrentManager {
     }
 
     fn on_epoch_end(&self, _job: JobId, _epoch: Epoch) {
-        let _barrier = self
+        let mut view = self
             .gate
             .write()
             .expect("epoch gate poisoned: a barrier holder panicked");
         let h_acc = self.epoch_h_accesses.swap(0, Ordering::Relaxed);
         let l_acc = self.epoch_l_accesses.swap(0, Ordering::Relaxed);
-        let total = h_acc + l_acc;
-        if total > 0 && self.config.enable_lcache && self.have_hlist.load(Ordering::Relaxed) {
-            // Frequency-driven region re-balancing (§III-A), identical
-            // arithmetic to the sequential manager.
-            let h_frac = h_acc as f64 / total as f64;
-            let min_l = self.config.package_size.min(self.config.capacity / 2);
-            let h_cap = self
-                .config
-                .capacity
-                .scaled(h_frac)
-                .min(self.config.capacity.saturating_sub(min_l));
-            self.h_capacity.store(h_cap.as_u64(), Ordering::Relaxed);
+        // Frequency-driven region re-balancing (§III-A), the same split
+        // as the sequential manager.
+        let split = self
+            .config
+            .rebalanced_split(h_acc, l_acc)
+            .filter(|_| view.have_hlist);
+        if let Some((h_cap, l_cap)) = split {
             {
-                // Shrink H to fit: evict global minima (barrier is
-                // exclusive, the admit lock is taken for uniformity).
-                let _adm = lock_counted(&self.admit, &self.own_contention);
-                while self.h_used.load(Ordering::Relaxed) > h_cap.as_u64() {
-                    let Some((vid, _)) = self.h_heap.pop_global_min() else {
-                        break;
-                    };
-                    let vsize = self.h_items.remove(vid).unwrap_or(ByteSize::ZERO);
-                    self.h_used.fetch_sub(vsize.as_u64(), Ordering::Relaxed);
-                    AtomicCacheStats::bump(&self.stats.evictions);
-                }
+                let mut h = self.h_region();
+                let evicted = h.resize(h_cap);
+                self.unindex_evicted(&evicted);
             }
-            let l_cap = self.config.capacity.saturating_sub(h_cap);
             self.l_capacity.store(l_cap.as_u64(), Ordering::Relaxed);
             let mut st = lock_counted(&self.loader, &self.own_contention);
             self.evict_l_to_fit(&mut st);
         }
-        self.publish_obs();
+        self.publish_obs(&mut view);
     }
 
     fn set_obs(&self, obs: Obs) {
-        *self
-            .obs
-            .lock()
-            .expect("obs handle lock poisoned: a publisher panicked") = obs;
-        self.publish_obs();
+        let mut view = self
+            .gate
+            .write()
+            .expect("epoch gate poisoned: a barrier holder panicked");
+        view.obs = obs;
+        self.publish_obs(&mut view);
     }
 
     fn stats(&self) -> CacheStats {
@@ -735,7 +686,7 @@ impl ConcurrentCache for ConcurrentManager {
     }
 
     fn used_bytes(&self) -> ByteSize {
-        ByteSize::new(self.h_used.load(Ordering::Relaxed) + self.l_used.load(Ordering::Relaxed))
+        self.h_region().used() + ByteSize::new(self.l_used.load(Ordering::Relaxed))
     }
 
     fn capacity(&self) -> ByteSize {
@@ -745,7 +696,6 @@ impl ConcurrentCache for ConcurrentManager {
     fn contended(&self) -> u64 {
         self.own_contention.load(Ordering::Relaxed)
             + self.h_items.contended()
-            + self.h_heap.contended()
             + self.l_resident.contended()
             + self.l_fresh.contended()
     }
@@ -913,14 +863,8 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.requests(), (threads * per_thread) as u64);
         assert!(m.used_bytes() <= m.capacity());
-        assert!(self_check(&m));
+        assert!(m.check_invariants());
         m.on_epoch_end(JobId(0), Epoch(0));
-    }
-
-    fn self_check(m: &ConcurrentManager) -> bool {
-        m.h_items.check_invariants()
-            && m.h_heap.check_invariants()
-            && m.l_resident.check_invariants()
-            && m.l_fresh.check_invariants()
+        assert!(m.check_invariants());
     }
 }

@@ -9,19 +9,22 @@
 //!
 //! Layout (DESIGN.md §8 "In-node concurrency"):
 //!
-//! * **Striped maps** ([`StripedMap`], [`FreshPool`]): resident
-//!   membership and the substitution fresh-pool are split across
+//! * **Striped maps** ([`StripedMap`], [`FreshPool`]): the H index, the
+//!   L residents and the substitution fresh-pool are split across
 //!   `stripes` locks keyed by `SampleId` (stripe = `id & (stripes-1)`);
 //!   ids are contiguous, so adjacent samples land on different stripes.
-//! * **Sharded H-heap** ([`ShardedHeap`]): one indexed min-heap per
-//!   stripe; eviction takes every shard lock in ascending index order
-//!   and merges the per-shard minima deterministically (lowest
-//!   `(importance, id)` wins).
+//!   H and L hits touch one stripe.
+//! * **One admit-locked H-region**: H misses run the sequential
+//!   [`crate::HCache::admit`] (Algorithm 1, atomic multi-victim
+//!   eviction) under a single mutex and mirror its evictions into the
+//!   striped H index. Algorithm 1 exists once, in [`crate::HCache`].
 //! * **Atomic counters** ([`AtomicCacheStats`]): hit/miss/substitution
 //!   counting never serializes readers.
 //! * **Epoch write barrier**: fetches hold a [`std::sync::RwLock`] read
 //!   guard; epoch-boundary operations (rebalance, fresh-pool rebuild,
-//!   H-list refresh) take the write guard and run stop-the-world.
+//!   H-list refresh) take the write guard and run stop-the-world. The
+//!   state only they change — the H-list view (membership, effective
+//!   importance) and the metrics publisher — lives inside that lock.
 //! * **`workers == 1` short-circuit**: drivers must route
 //!   single-threaded runs through the sequential manager so golden
 //!   outputs stay byte-identical; [`MutexCache`] exists to wrap any
@@ -29,12 +32,10 @@
 //!   multi-threaded comparison runs.
 
 mod manager;
-mod sharded_heap;
 mod stats;
 mod striped;
 
 pub use manager::{ConcurrentCache, ConcurrentManager, MutexCache};
-pub use sharded_heap::ShardedHeap;
 pub use stats::AtomicCacheStats;
 pub use striped::{FreshPool, StripedMap};
 

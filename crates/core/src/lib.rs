@@ -28,9 +28,9 @@
 //!   paper's static cluster.
 //! * [`concurrent`] — the lock-striped in-node cache
 //!   ([`ConcurrentManager`]): one node serving many data-loader threads
-//!   concurrently via striped resident maps, a sharded H-heap with a
-//!   deterministic cross-shard eviction merge, atomic counters, and an
-//!   epoch write barrier (DESIGN.md §8).
+//!   concurrently via striped resident maps, the sequential [`HCache`]
+//!   behind one admit lock, atomic counters, and an epoch write
+//!   barrier (DESIGN.md §8).
 //! * [`prefetch`] — the clairvoyant prefetch pipeline
 //!   ([`PrefetchPipeline`]): since IIS/CIS fix the epoch's access order
 //!   in advance, a bounded lookahead window overlaps storage fetches
@@ -89,8 +89,7 @@ mod system;
 mod victim;
 
 pub use concurrent::{
-    AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, ShardedHeap,
-    StripedMap,
+    AtomicCacheStats, ConcurrentCache, ConcurrentManager, FreshPool, MutexCache, StripedMap,
 };
 pub use data::SampleData;
 pub use dense::{IdSet, IdSlab};

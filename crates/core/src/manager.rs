@@ -101,7 +101,7 @@ impl IcacheConfig {
         })
     }
 
-    fn validate(&self) -> Result<()> {
+    pub(crate) fn validate(&self) -> Result<()> {
         if self.capacity.is_zero() {
             return Err(Error::invalid_config("capacity", "must be non-zero"));
         }
@@ -127,6 +127,53 @@ impl IcacheConfig {
             ));
         }
         Ok(())
+    }
+
+    /// L-region floor: one package, but never more than half the cache
+    /// (tiny caches would otherwise leave the H-region empty).
+    fn min_l_capacity(&self) -> ByteSize {
+        self.package_size.min(self.capacity / 2)
+    }
+
+    /// The initial `(h_capacity, l_capacity)` split: the configured
+    /// H-fraction, with the L-region held at its floor (or at zero when
+    /// the L-cache is disabled).
+    pub(crate) fn initial_split(&self) -> (ByteSize, ByteSize) {
+        let l_capacity = if self.enable_lcache {
+            self.capacity
+                .saturating_sub(self.capacity.scaled(self.initial_h_fraction))
+                .max(self.min_l_capacity())
+        } else {
+            ByteSize::ZERO
+        };
+        (self.capacity.saturating_sub(l_capacity), l_capacity)
+    }
+
+    /// The epoch-end `(h_capacity, l_capacity)` split from one epoch's
+    /// H and L access counts (§III-A: `Size_hcache = Size_cache · f_H /
+    /// (f_H + f_L)`, with the L-region kept at its floor). `None` when
+    /// there is nothing to rebalance: no accesses, or no L-cache.
+    pub(crate) fn rebalanced_split(
+        &self,
+        h_accesses: u64,
+        l_accesses: u64,
+    ) -> Option<(ByteSize, ByteSize)> {
+        let total = h_accesses + l_accesses;
+        if total == 0 || !self.enable_lcache {
+            return None;
+        }
+        let h_frac = h_accesses as f64 / total as f64;
+        let h_cap = self
+            .capacity
+            .scaled(h_frac)
+            .min(self.capacity.saturating_sub(self.min_l_capacity()));
+        Some((h_cap, self.capacity.saturating_sub(h_cap)))
+    }
+
+    /// Simulated service time of a cache hit on `size` bytes: one RPC
+    /// round trip plus the DRAM copy.
+    pub(crate) fn hit_service(&self, size: ByteSize) -> SimDuration {
+        self.rpc_overhead + SimDuration::from_secs_f64(size.as_f64() / self.dram_bandwidth)
     }
 }
 
@@ -182,18 +229,7 @@ impl IcacheManager {
     /// or bandwidths.
     pub fn new(config: IcacheConfig, dataset: &Dataset) -> Result<Self> {
         config.validate()?;
-        // L-cache floor: one package, but never more than half the cache
-        // (tiny caches would otherwise leave the H-region empty).
-        let min_l = config.package_size.min(config.capacity / 2);
-        let l_capacity = if config.enable_lcache {
-            config
-                .capacity
-                .saturating_sub(config.capacity.scaled(config.initial_h_fraction))
-                .max(min_l)
-        } else {
-            ByteSize::ZERO
-        };
-        let h_capacity = config.capacity.saturating_sub(l_capacity);
+        let (h_capacity, l_capacity) = config.initial_split();
         let coordinator = MultiJobCoordinator::new(
             dataset.len(),
             config.benefit_threshold,
@@ -294,11 +330,6 @@ impl IcacheManager {
         }
     }
 
-    fn hit_service(&self, size: ByteSize) -> SimDuration {
-        self.config.rpc_overhead
-            + SimDuration::from_secs_f64(size.as_f64() / self.config.dram_bandwidth)
-    }
-
     fn admission_value(&self, job: JobId, id: SampleId) -> ImportanceValue {
         self.effective_iv.get(id).copied().unwrap_or_else(|| {
             self.coordinator
@@ -373,7 +404,7 @@ impl IcacheManager {
                 sample: id.0,
             });
             return Fetch {
-                ready_at: now + self.hit_service(size),
+                ready_at: now + self.config.hit_service(size),
                 served_id: id,
                 outcome: FetchOutcome::HitH,
             };
@@ -474,7 +505,7 @@ impl IcacheManager {
                         kind: "st_lc",
                     });
                     Fetch {
-                        ready_at: now + self.hit_service(sub_size),
+                        ready_at: now + self.config.hit_service(sub_size),
                         served_id: sub,
                         outcome: FetchOutcome::Substituted {
                             by: sub,
@@ -501,7 +532,7 @@ impl IcacheManager {
             sample: id.0,
         });
         Fetch {
-            ready_at: now + self.hit_service(size),
+            ready_at: now + self.config.hit_service(size),
             served_id: id,
             outcome: FetchOutcome::HitL,
         }
@@ -542,7 +573,7 @@ impl IcacheManager {
                     kind: "st_hc",
                 });
                 Fetch {
-                    ready_at: now + self.hit_service(sub_size),
+                    ready_at: now + self.config.hit_service(sub_size),
                     served_id: sub,
                     outcome: FetchOutcome::Substituted {
                         by: sub,
@@ -815,20 +846,15 @@ impl CacheSystem for IcacheManager {
         // Frequency-driven region re-balancing (§III-A). Warm-up accesses
         // carry no H/L classification, so rebalancing waits for the first
         // H-list.
-        let total = self.h_accesses + self.l_accesses;
-        if total > 0 && self.config.enable_lcache && self.coordinator.any_hlist() {
-            let h_frac = self.h_accesses as f64 / total as f64;
-            let min_l = self.config.package_size.min(self.config.capacity / 2);
-            let h_cap = self
-                .config
-                .capacity
-                .scaled(h_frac)
-                .min(self.config.capacity.saturating_sub(min_l));
+        let split = self
+            .config
+            .rebalanced_split(self.h_accesses, self.l_accesses)
+            .filter(|_| self.coordinator.any_hlist());
+        if let Some((h_cap, l_cap)) = split {
             let evicted = self.hcache.resize(h_cap);
             self.stats.evictions += evicted.len() as u64;
             self.note_evictions(&evicted);
             self.spill_to_pm(&evicted);
-            let l_cap = self.config.capacity.saturating_sub(h_cap);
             self.lcache.set_capacity(l_cap);
             self.obs.set_gauge("cache.h_capacity", h_cap.as_f64());
             self.obs.set_gauge("cache.l_capacity", l_cap.as_f64());

@@ -5,15 +5,18 @@
 //!
 //! Each model spawns racing threads over one shared structure and then
 //! asserts the structure's internal invariants — the striped position
-//! map (`fresh[pos[id]] == id`), shard-local id ownership, and the
-//! atomic length counters — survived the interleaving.
+//! map (`fresh[pos[id]] == id`), stripe-local id ownership, the atomic
+//! length counters, and the H index agreeing with the admit-locked
+//! `HCache` — survived the interleaving.
 
-use icache_core::{FreshPool, InflightWindow, ShardedHeap, StripedMap};
-use icache_types::{ImportanceValue, SampleId, SeedSequence};
-
-fn iv(v: f64) -> ImportanceValue {
-    ImportanceValue::saturating(v)
-}
+use icache_core::{
+    ConcurrentCache, ConcurrentManager, FreshPool, IcacheConfig, InflightWindow, StripedMap,
+};
+use icache_sampling::{HList, ImportanceTable};
+use icache_storage::LocalTier;
+use icache_types::{
+    splitmix64, ByteSize, DatasetBuilder, Epoch, JobId, SampleId, SeedSequence, SimTime, SizeModel,
+};
 
 #[test]
 fn striped_map_survives_racing_inserts_and_removes() {
@@ -160,83 +163,72 @@ fn inflight_window_survives_producer_consumer_race() {
 }
 
 #[test]
-fn sharded_heap_eviction_merge_locks_shards_ascending() {
-    // The declared discipline ([locks] classes in lint.toml): a
-    // cross-shard eviction merge acquires every shard lock in ascending
-    // index order, which is what makes two racing evictors deadlock-free.
-    // The witness hook reports each shard index at acquisition time, so
-    // this asserts the order actually taken under the race, not just the
-    // merge's result.
-    const SHARDS: usize = 4;
-    loom::model(|| {
-        let heap = ShardedHeap::new(SHARDS);
-        for i in 0..24u64 {
-            heap.insert(SampleId(i), iv(i as f64));
-        }
-        let ascending: Vec<usize> = (0..SHARDS).collect();
-        std::thread::scope(|s| {
-            // Two racing evictors: were the acquisition order not a
-            // total order, this pair could deadlock; each checks the
-            // witness sequence of every merge it performs.
-            for _ in 0..2 {
-                s.spawn(|| {
-                    for _ in 0..8 {
-                        let mut order = Vec::new();
-                        heap.pop_global_min_witnessed(&mut |i| order.push(i));
-                        assert_eq!(
-                            order, ascending,
-                            "eviction merge must lock shards in ascending index order"
-                        );
-                    }
-                });
-            }
-            // A racing inserter keeps the point-op path (single-shard
-            // locks) contending with the all-shard sweeps.
-            s.spawn(|| {
-                for i in 24..48u64 {
-                    heap.insert(SampleId(i), iv(i as f64 * 0.25));
+fn concurrent_manager_survives_racing_h_admissions() {
+    // Every fetch below is an H-sample, and the H-set is several times
+    // the H-region: misses race each other into `HCache::admit` under
+    // the admit lock, with multi-victim evictions and rejections, while
+    // hits read the striped index.
+    let ds = DatasetBuilder::new("loom-h", 256)
+        .size_model(SizeModel::LogNormal {
+            mu: 8.3,
+            sigma: 0.8,
+            min: ByteSize::kib(1),
+            max: ByteSize::kib(32),
+        })
+        .build()
+        .expect("valid model dataset");
+    let mut table = ImportanceTable::new(ds.len());
+    for i in 0..ds.len() {
+        table.record_loss(SampleId(i), 1.0 + (splitmix64(i) % 1000) as f64);
+    }
+    let hlist = HList::top_fraction(&table, 0.5);
+    let h_ids: Vec<SampleId> = hlist.entries().iter().map(|e| e.id).collect();
+    let mut cfg = IcacheConfig::for_dataset(&ds, 0.2).expect("valid model config");
+    cfg.package_size = ByteSize::kib(16);
+    loom::model(move || {
+        for threads in 2..=4usize {
+            let m = ConcurrentManager::new(cfg.clone(), &ds, 4).expect("valid model manager");
+            m.update_hlist(JobId(0), &hlist);
+            m.on_epoch_start(JobId(0), Epoch(0));
+            std::thread::scope(|s| {
+                for t in 0..threads {
+                    let (m, ds, h_ids) = (&m, &ds, &h_ids);
+                    s.spawn(move || {
+                        let mut storage = LocalTier::tmpfs();
+                        let mut rng = SeedSequence::new(9).rng(&format!("loader{t}"));
+                        let mut now = SimTime::ZERO;
+                        // Each thread strides through the H-set (out of
+                        // importance order) from its own offset, twice,
+                        // so threads miss on the same ids.
+                        for k in 0..2 * h_ids.len() {
+                            let id = h_ids[(k * 37 + t * 7) % h_ids.len()];
+                            let f = m.fetch(
+                                JobId(0),
+                                id,
+                                ds.sample_size(id),
+                                now,
+                                &mut storage,
+                                &mut rng,
+                            );
+                            now = f.ready_at;
+                        }
+                    });
                 }
             });
-        });
-        assert!(heap.check_invariants(), "sharded heap invariants violated");
-    });
-}
-
-#[test]
-fn sharded_heap_survives_racing_inserts_and_evictions() {
-    loom::model(|| {
-        let heap = ShardedHeap::new(4);
-        for i in 0..20u64 {
-            heap.insert(SampleId(i), iv(i as f64));
-        }
-        let popped = std::thread::scope(|s| {
-            let a = s.spawn(|| {
-                for i in 20..50u64 {
-                    heap.insert(SampleId(i), iv(i as f64 * 0.5));
-                }
-            });
-            let b = s.spawn(|| {
-                let mut popped = Vec::new();
-                for _ in 0..25 {
-                    if let Some((id, _)) = heap.pop_global_min() {
-                        popped.push(id);
-                    }
-                }
-                popped
-            });
-            a.join().expect("insert thread panicked");
-            b.join().expect("evict thread panicked")
-        });
-        assert!(heap.check_invariants(), "sharded heap invariants violated");
-        // Conservation: every id is either still in the heap or was
-        // popped, never both, never neither.
-        for i in 0..50u64 {
-            let id = SampleId(i);
-            let in_heap = heap.contains(id);
-            let was_popped = popped.contains(&id);
             assert!(
-                in_heap != was_popped,
-                "sample {id}: in_heap={in_heap} popped={was_popped}"
+                m.used_bytes() <= m.capacity(),
+                "{threads} threads overfilled"
+            );
+            assert!(
+                m.check_invariants(),
+                "H index diverged from the HCache residents"
+            );
+            let s = m.stats();
+            assert!(s.evictions > 0, "the model must exercise eviction");
+            assert_eq!(
+                s.insertions - s.evictions,
+                m.h_len() as u64,
+                "{threads} threads: insertions − evictions must equal H residents"
             );
         }
     });

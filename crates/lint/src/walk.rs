@@ -107,7 +107,7 @@ mod tests {
             classify("crates/bench/benches/heap_ops.rs"),
             FileKind::Bench
         );
-        assert_eq!(classify("crates/sim/examples/calib.rs"), FileKind::Example);
+        assert_eq!(classify("crates/sim/examples/probe.rs"), FileKind::Example);
         assert_eq!(classify("tests/end_to_end.rs"), FileKind::Test);
         assert_eq!(classify("crates/bench/tests/cli.rs"), FileKind::Test);
         assert_eq!(classify("examples/quickstart.rs"), FileKind::Example);

@@ -528,11 +528,13 @@ mod tests {
         );
     }
 
-    /// `IcacheManager` and a one-stripe `ConcurrentManager` agree on
-    /// everything the H side decides: hits, admission, eviction, and the
-    /// epoch-end H/L rebalance. ROADMAP item 2 records that their L
-    /// paths still diverge (substitutions and misses differ at one
-    /// loader thread), so L-side counters are deliberately not compared.
+    /// `IcacheManager` and a `ConcurrentManager` on one loader thread
+    /// agree on everything the H side decides: hits, admission,
+    /// eviction, and the epoch-end H/L rebalance — at one stripe and at
+    /// four, since H decisions must not depend on the stripe count.
+    /// ROADMAP item 2 records that their L paths still diverge
+    /// (substitutions and misses differ at one loader thread), so L-side
+    /// counters are deliberately not compared.
     #[test]
     fn one_stripe_concurrent_manager_matches_sequential_h_side() {
         use icache_core::{ConcurrentManager, IcacheConfig, IcacheManager};
@@ -572,23 +574,26 @@ mod tests {
             let s = replay(&t, &ds, &mut seq, &mut pfs).stats;
             seq.on_epoch_end(JobId(0), Epoch(0));
 
-            let conc = ConcurrentManager::new(cfg, &ds, 1).unwrap();
-            conc.update_hlist(JobId(0), &hlist);
-            conc.on_epoch_start(JobId(0), Epoch(0));
-            let c = replay_concurrent(&t, &ds, &conc, 1, 11, || {
-                Ok(Box::new(Pfs::new(PfsConfig::orangefs_default())?))
-            })
-            .unwrap()
-            .stats;
-            conc.on_epoch_end(JobId(0), Epoch(0));
-
             assert!(s.h_hits > 0, "{pattern:?}: trace never hit H");
-            assert_eq!(s.h_hits, c.h_hits, "{pattern:?} h_hits");
-            assert_eq!(s.insertions, c.insertions, "{pattern:?} insertions");
-            assert_eq!(s.evictions, c.evictions, "{pattern:?} evictions");
-            assert_eq!(s.rejections, c.rejections, "{pattern:?} rejections");
-            assert_eq!(seq.h_capacity(), conc.h_capacity(), "{pattern:?} H size");
-            assert_eq!(seq.l_capacity(), conc.l_capacity(), "{pattern:?} L size");
+            for stripes in [1, 4] {
+                let conc = ConcurrentManager::new(cfg.clone(), &ds, stripes).unwrap();
+                conc.update_hlist(JobId(0), &hlist);
+                conc.on_epoch_start(JobId(0), Epoch(0));
+                let c = replay_concurrent(&t, &ds, &conc, 1, 11, || {
+                    Ok(Box::new(Pfs::new(PfsConfig::orangefs_default())?))
+                })
+                .unwrap()
+                .stats;
+                conc.on_epoch_end(JobId(0), Epoch(0));
+
+                let at = format!("{pattern:?} at {stripes} stripes");
+                assert_eq!(s.h_hits, c.h_hits, "{at}: h_hits");
+                assert_eq!(s.insertions, c.insertions, "{at}: insertions");
+                assert_eq!(s.evictions, c.evictions, "{at}: evictions");
+                assert_eq!(s.rejections, c.rejections, "{at}: rejections");
+                assert_eq!(seq.h_capacity(), conc.h_capacity(), "{at}: H size");
+                assert_eq!(seq.l_capacity(), conc.l_capacity(), "{at}: L size");
+            }
         }
     }
 
